@@ -1,4 +1,4 @@
-//! Experiment: parallel versus sequential branch and bound, warm-restart
+//! Experiment: branch and bound at one worker versus several, warm-restart
 //! basis reuse, and the root-node stage (pricing, presolve, cuts) on the
 //! GOMIL ILPs. Writes `BENCH_ilp.json`.
 //!
@@ -18,12 +18,12 @@
 //!   first factorization, root LP, cut rounds) of the widest models,
 //!   where the root node dominates the whole budget.
 //! * **joint m=32** — the paper's Eq. 27 model at the acceptance width,
-//!   sequential versus parallel job counts.
+//!   `jobs = 1` (the calling thread alone) versus more workers.
 //! * **CT m=32** — the compressor-tree ILP, which is the model the
 //!   degradation ladder actually solves at this width (the `truncated-ilp`
 //!   rung). On a multi-core host `jobs=N` explores ~N× nodes per second;
-//!   on a single-core host (see `host_cpus`) the parallel engine matches
-//!   sequential within scheduling overhead.
+//!   on a single-core host (see `host_cpus`) extra workers match one
+//!   worker within scheduling overhead.
 //! * **equality roster** — randomized MILPs sized m ∈ {8, 16, 32, 64}:
 //!   every job count and every pricing/cut configuration must prove the
 //!   same objective and certify.
@@ -462,8 +462,7 @@ fn quick_hypersparse_gate(cfg: &GomilConfig) -> Result<(), String> {
     );
     if run.ftran_hyper == 0 && run.btran_hyper == 0 {
         return Err(
-            "hypersparse regression: no FTRAN/BTRAN took the sparse kernel path on CT m=32"
-                .into(),
+            "hypersparse regression: no FTRAN/BTRAN took the sparse kernel path on CT m=32".into(),
         );
     }
     if run.root.root_lp_iters > BASELINE_ROOT_ITERS * ITER_RATIO {
@@ -846,7 +845,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let json = format!(
         "{{\n  \"bench\": \"solver_scaling\",\n  \"host_cpus\": {host_cpus},\n  \
          \"jobs_compared\": [1, {par_jobs}],\n  \
-         \"note\": \"wall-clock speedup from jobs > 1 requires host_cpus > 1; on a single-core host the parallel engine matches sequential within scheduling overhead\",\n  \
+         \"note\": \"wall-clock speedup from jobs > 1 requires host_cpus > 1; on a single-core host extra workers match one worker within scheduling overhead; the sequential/parallel keys hold the jobs = 1 and jobs > 1 runs of the one worker-pool engine\",\n  \
          \"basis_reuse\": {{\n    \
          \"note\": \"same model, same budget, reuse_basis off vs on; iteration_ratio_per_node = from-scratch iters/node over warm iters/node (meaningful even when node counts differ); iteration_ratio_total is the raw quotient and is only meaningful when node_counts_match\",\n    \
          \"joint_m32_iteration_ratio_per_node\": {joint_ratio_json},\n    \"entries\": [\n{reuse_json}\n    ],\n    \"skipped\": [\n{skipped_json}\n    ]\n  }},\n  \

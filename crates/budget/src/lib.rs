@@ -165,8 +165,8 @@ pub const MAX_DEADLINE_MS: u64 = 3_600_000;
 /// Amortizes [`Budget::check`] for very hot loops.
 ///
 /// `Budget::check` reads the clock on every call; inner loops that run
-/// millions of times (simplex pivots, parallel node acquisition) only need
-/// deadline resolution of "soon", not "this iteration". A checker samples
+/// millions of times only need deadline resolution of "soon", not "this
+/// iteration". A checker samples
 /// the real budget every `period`-th call and answers from the cached
 /// verdict in between. Once the budget is exceeded the verdict is sticky:
 /// every subsequent call fails immediately without touching the clock.

@@ -95,41 +95,35 @@ type CliResult = Result<(), Box<dyn std::error::Error>>;
 /// Parses shared optimizer flags: `--budget-ms N` bounds the whole
 /// pipeline with a wall-clock deadline (expiry degrades the optimizer
 /// down its fallback ladder instead of failing the command),
-/// `--solver-jobs N` runs each branch-and-bound solve with `N` worker
-/// threads (1, the default, is the sequential solver),
+/// `--solver-jobs N` runs each branch-and-bound solve with `N` workers
+/// (1, the default, searches deterministically on the calling thread),
 /// `--pricing {dantzig,devex}` picks the simplex pricing rule,
-/// `--cuts {off,root}` toggles root cut separation, and
+/// `--cuts {off,root}` toggles root cut separation,
 /// `--scaling {on,off}` / `--reduce {on,off}` toggle LP equilibration
-/// scaling and the reduction presolve. All are latency knobs: every
+/// scaling and the reduction presolve, and `--verify {off,fast,strict}`
+/// picks the equivalence gate. The solver knobs are latency knobs: every
 /// setting proves the same certified optima.
-fn cfg_from_args(args: &[String]) -> GomilConfig {
+///
+/// A flag given without a value, or with a value it does not accept, is
+/// an error naming both, so a typo never runs with the default instead.
+fn cfg_from_args(args: &[String]) -> Result<GomilConfig, String> {
     let mut cfg = GomilConfig::default();
-    if let Some(ms) = args
-        .iter()
-        .position(|a| a == "--budget-ms")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<u64>().ok())
-    {
+    if let Some(ms) = parse_flag(args, "--budget-ms", |s| s.parse::<u64>().ok())? {
         cfg.pipeline_budget = Some(std::time::Duration::from_millis(ms));
     }
-    if let Some(jobs) = args
-        .iter()
-        .position(|a| a == "--solver-jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<usize>().ok())
-    {
+    if let Some(jobs) = parse_flag(args, "--solver-jobs", |s| s.parse::<usize>().ok())? {
         cfg.solver_jobs = jobs.max(1);
     }
-    if let Some(p) = flag_value(args, "--pricing").and_then(|s| gomil_ilp::Pricing::from_name(s)) {
+    if let Some(p) = parse_flag(args, "--pricing", gomil_ilp::Pricing::from_name)? {
         cfg.pricing = p;
     }
-    if let Some(c) = flag_value(args, "--cuts").and_then(|s| gomil_ilp::CutMode::from_name(s)) {
+    if let Some(c) = parse_flag(args, "--cuts", gomil_ilp::CutMode::from_name)? {
         cfg.cuts = c;
     }
-    if let Some(s) = flag_value(args, "--scaling").and_then(|v| on_off(v)) {
+    if let Some(s) = parse_flag(args, "--scaling", on_off)? {
         cfg.scaling = s;
     }
-    if let Some(r) = flag_value(args, "--reduce").and_then(|v| on_off(v)) {
+    if let Some(r) = parse_flag(args, "--reduce", on_off)? {
         cfg.reduce = r;
     }
     // `--no-verify` predates the tiered gate and is kept as an alias for
@@ -137,10 +131,26 @@ fn cfg_from_args(args: &[String]) -> GomilConfig {
     if args.iter().any(|a| a == "--no-verify") {
         cfg.verify = VerifyMode::Off;
     }
-    if let Some(mode) = flag_value(args, "--verify").and_then(|s| VerifyMode::from_name(s)) {
+    if let Some(mode) = parse_flag(args, "--verify", VerifyMode::from_name)? {
         cfg.verify = mode;
     }
-    cfg
+    Ok(cfg)
+}
+
+/// The value of flag `name` through `parse`: `Ok(None)` when the flag is
+/// absent, an error naming the flag when its value is missing or rejected.
+fn parse_flag<T>(
+    args: &[String],
+    name: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let value = args.get(i + 1).ok_or(format!("{name} needs a value"))?;
+    parse(value)
+        .map(Some)
+        .ok_or(format!("invalid value `{value}` for {name}"))
 }
 
 /// Parses an `on`/`off` flag value (`true`/`false` accepted as aliases).
@@ -171,7 +181,7 @@ fn cmd_gen(args: &[String]) -> CliResult {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1));
 
-    let cfg = cfg_from_args(args);
+    let cfg = cfg_from_args(args)?;
     // The equivalence gate runs inside build_gomil: a Failed netlist is a
     // hard error before this point, so reaching here means the verdict is
     // at worst Skipped (when the gate is off).
@@ -342,7 +352,7 @@ fn cmd_batch(args: &[String]) -> CliResult {
         .and_then(|s| s.parse::<usize>().ok())
         .unwrap_or(2)
         .max(1);
-    let cfg = cfg_from_args(args);
+    let cfg = cfg_from_args(args)?;
     let svc = attach_mart(serve_service(&cfg, serve_config_from_args(args))?, args)?;
 
     let ppgs: &[PpgKind] = if all_ppg {
@@ -405,7 +415,7 @@ fn cmd_serve_http(args: &[String], addr: &str) -> CliResult {
         })?;
         httpd.default_deadline = Some(deadline);
     }
-    let cfg = cfg_from_args(args);
+    let cfg = cfg_from_args(args)?;
     let svc = std::sync::Arc::new(attach_mart(
         serve_service(&cfg, serve_config_from_args(args))?,
         args,
@@ -448,7 +458,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
     if requests.is_empty() {
         return Err(format!("{path}: no requests (lines are `<m> [ppg]`)").into());
     }
-    let cfg = cfg_from_args(args);
+    let cfg = cfg_from_args(args)?;
     let svc = attach_mart(serve_service(&cfg, serve_config_from_args(args))?, args)?;
     let results = svc.run_batch(&requests);
     print_results(&requests, &results);
@@ -513,7 +523,7 @@ fn cmd_mart_build(args: &[String]) -> CliResult {
         .collect::<Result<_, _>>()
         .map_err(|e| format!("bad --ms list: {e}"))?;
     let refresh = args.iter().any(|a| a == "--refresh");
-    let cfg = cfg_from_args(args);
+    let cfg = cfg_from_args(args)?;
     // The mart is its own persistence: the builder service runs without a
     // cache file so a stale TSV cannot leak into the store.
     let mut sc = serve_config_from_args(args);

@@ -41,11 +41,11 @@ pub struct GomilConfig {
     /// Eq. 14 assumes all CPA inputs arrive at time 0). Costs one extra
     /// `O(n³)` DP; set to `false` for the paper-faithful structure.
     pub arrival_aware: bool,
-    /// Worker threads for each branch-and-bound solve (CLI
-    /// `--solver-jobs`). `1` (the default) is the sequential legacy
-    /// solver; larger values run the parallel node search. Like the
-    /// budgets this is a latency knob, not a result knob — parallel search
-    /// proves the same optima — so it is excluded from
+    /// Workers for each branch-and-bound solve (CLI `--solver-jobs`): the
+    /// calling thread plus `solver_jobs − 1` spawned threads. `1` (the
+    /// default) spawns no thread and searches deterministically. Like the
+    /// budgets this is a latency knob, not a result knob — any worker
+    /// count proves the same optima — so it is excluded from
     /// [`solve_fingerprint`](Self::solve_fingerprint).
     pub solver_jobs: usize,
     /// Simplex pricing rule for every branch-and-bound LP (CLI
@@ -136,7 +136,7 @@ impl GomilConfig {
     /// serving layer refuses to cache budget-degraded results instead
     /// (see `gomil-serve`'s caching contract).
     /// [`solver_jobs`](Self::solver_jobs) is excluded for the same reason:
-    /// parallel branch and bound proves the same objective value, it only
+    /// any worker count proves the same objective value, it only
     /// changes how fast (and, among ties, *which* optimal assignment comes
     /// back — the cache stores one certified optimum either way).
     pub fn solve_fingerprint(&self) -> String {

@@ -63,3 +63,40 @@ fn unknown_subcommand_fails_with_usage() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
+
+#[test]
+fn malformed_solver_flags_fail_before_any_solve() {
+    let cases: [&[&str]; 9] = [
+        &["--solver-jobs", "two"],
+        &["--budget-ms", "1s"],
+        &["--pricing", "fast"],
+        &["--cuts", "none"],
+        &["--scaling", "yes"],
+        &["--reduce", "0"],
+        &["--verify", "max"],
+        &["--budget-ms"],
+        &["--solver-jobs", "--pricing", "devex"],
+    ];
+    for flags in cases {
+        let mut args = vec!["gen", "4"];
+        args.extend_from_slice(flags);
+        let out = gomil(&args);
+        let log = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flags:?} must fail: {log}");
+        assert!(out.stdout.is_empty(), "{flags:?} must not emit Verilog");
+        assert!(
+            log.contains(flags[0]),
+            "{flags:?}: error names the flag: {log}"
+        );
+        if let Some(value) = flags.get(1) {
+            assert!(
+                log.contains(value),
+                "{flags:?}: error names the value: {log}"
+            );
+        }
+        assert!(
+            !log.contains("equivalence:"),
+            "{flags:?} ran a solve: {log}"
+        );
+    }
+}

@@ -35,9 +35,7 @@ use crate::http::{read_request, write_response, ChunkedWriter, HttpError, Reques
 use crate::json::{self, Json};
 use gomil_arith::PpgKind;
 use gomil_budget::{parse_deadline_ms, Budget};
-use gomil_ilp::{
-    BranchConfig, Model, Solution as IlpSolution, SolveError as IlpSolveError,
-};
+use gomil_ilp::{BranchConfig, Model, Solution as IlpSolution, SolveError as IlpSolveError};
 use gomil_serve::{
     json_string, RungLatency, ServeError, ServeOutcome, SolveKey, SolveRequest, SolveService,
 };
@@ -689,7 +687,12 @@ fn handle_lp(
         return reply_error(stream, 400, "body is not UTF-8", close);
     };
     if text.trim().is_empty() {
-        return reply_error(stream, 400, "empty body: expected an LP-format model", close);
+        return reply_error(
+            stream,
+            400,
+            "empty body: expected an LP-format model",
+            close,
+        );
     }
     let model = match Model::from_lp_format(text) {
         Ok(m) => m,
@@ -743,9 +746,8 @@ fn handle_lp(
             };
             // An arbitrary uploaded model can trip solver panics the
             // design pipeline never would; contain them to a 500.
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                model.solve_with(&cfg)
-            }));
+            let result =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| model.solve_with(&cfg)));
             shared.unregister_budget(id);
             shared.admission.release();
             if budget.check().is_err() {

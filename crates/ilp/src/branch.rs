@@ -5,8 +5,8 @@
 //! * presolve (bound tightening) once up front;
 //! * standardize to a slack-equality LP form, *compressing
 //!   out* variables fixed by presolve so the dense tableau stays small;
-//! * best-bound node selection with a last-in dive bias, deltas stored in a
-//!   parent-pointer arena;
+//! * best-bound node selection with a deeper-first tie break, branching
+//!   deltas stored in a parent-pointer chain;
 //! * branching on the most fractional integer variable;
 //! * incumbents from (a) a caller-supplied warm start, (b) LP solutions that
 //!   happen to be integral, and (c) a round-and-repair heuristic that fixes
@@ -16,12 +16,11 @@
 //! The search honours wall-clock and node limits and reports the best proven
 //! bound, mirroring how the paper runs Gurobi under a runtime cap.
 //!
-//! With [`BranchConfig::jobs`] > 1 the node loop is handed to the
-//! [parallel engine](crate::parallel): a fixed worker pool drains the same
-//! best-first queue under a mutex, sharing one atomic incumbent so any
-//! worker's improvement immediately tightens pruning everywhere. `jobs = 1`
-//! (the default) runs the sequential loop below, byte-for-byte the legacy
-//! behavior.
+//! This module prepares the search (presolve, standardization, the root LP
+//! and its cut loop, warm-start validation) and assembles the result; the
+//! node loop itself is the worker pool in `search.rs`. The calling thread
+//! is worker 0 and [`BranchConfig::jobs`] − 1 scoped threads join it, so
+//! `jobs = 1` (the default) spawns no thread and searches deterministically.
 //!
 //! Node bounds are NaN-checked on admission ([`checked_bound`]): the node
 //! comparator uses [`f64::total_cmp`], which is a total order even over NaN,
@@ -34,17 +33,15 @@ use crate::model::{Cmp, Model, Sense, VarKind};
 use crate::presolve::{
     presolve_with_opts, reduce_lp, LpReduction, PresolveOpts, ReductionStats, StrengthenedRow,
 };
-use crate::propagate::propagate_bounds;
 use crate::simplex::{
-    cover_cuts, gomory_cuts, resolve_lp, solve_lp_from, with_cut_rows, Basis, KernelStats, LpError,
-    LpOutcome, LpProblem, LpResult, Pricing, SimplexOpts, FEAS_TOL,
+    cover_cuts, gomory_cuts, resolve_lp, solve_lp_from, with_cut_rows, Basis, LpError, LpOutcome,
+    LpProblem, LpResult, LpWork, Pricing, SimplexOpts, FEAS_TOL,
 };
 use crate::solution::{
     IncumbentEvent, IncumbentSource, RootProfile, Solution, SolveError, SolveStatus,
     WarmStartStatus,
 };
 use gomil_budget::Budget;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -120,12 +117,11 @@ pub struct BranchConfig {
     /// a [`SolveError::Numerical`] failure once with `force_bland` and a
     /// relaxed `tol_scale` before giving up.
     pub numerical_retry: bool,
-    /// Worker threads exploring the branch-and-bound tree. `0` and `1`
-    /// both mean sequential search (the legacy single-threaded loop);
-    /// larger values run the [parallel engine](crate::parallel). Parallel
-    /// search proves the same optima but may return a *different* optimal
-    /// assignment when several exist, and node/iteration counts become
-    /// timing-dependent.
+    /// Workers exploring the branch-and-bound tree: the calling thread plus
+    /// `jobs − 1` scoped threads (`0` counts as `1`). With one worker the
+    /// search is deterministic and spawns no thread. More workers prove the
+    /// same optima but may return a *different* optimal assignment when
+    /// several exist, and node/iteration counts become timing-dependent.
     pub jobs: usize,
     /// Carry the parent's optimal simplex basis into each child node and
     /// reoptimize with the dual simplex instead of solving from scratch
@@ -341,24 +337,9 @@ impl BoundDelta {
     }
 }
 
-struct NodeArena {
-    /// (parent index or usize::MAX, delta)
-    nodes: Vec<(usize, BoundDelta)>,
-}
-
-impl NodeArena {
-    fn apply(&self, mut idx: usize, lb: &mut [f64], ub: &mut [f64]) {
-        while idx != usize::MAX {
-            let (parent, d) = self.nodes[idx];
-            d.tighten(lb, ub);
-            idx = parent;
-        }
-    }
-}
-
 /// Rejects a NaN node bound before it can reach the open-node heap.
 ///
-/// `OpenNode`'s comparator is [`f64::total_cmp`], so a NaN no longer
+/// The node comparator is [`f64::total_cmp`], so a NaN no longer
 /// *corrupts* heap order — but a node whose LP relaxation evaluated to NaN
 /// has no meaningful place in a best-first search either, so the solve is
 /// aborted as a numerical failure (which the
@@ -371,44 +352,6 @@ pub(crate) fn checked_bound(bound: f64) -> Result<f64, SolveError> {
         ));
     }
     Ok(bound)
-}
-
-struct OpenNode {
-    bound: f64,
-    depth: u32,
-    arena_idx: usize,
-    /// The branching that created this node, for pseudocost updates:
-    /// `(column, went_up, parent LP objective, fractional distance)`.
-    branch: Option<(usize, bool, f64, f64)>,
-    /// The parent's optimal basis, shared by both children: the dual
-    /// simplex warm-restarts from it instead of re-solving from scratch.
-    basis: Option<Arc<Basis>>,
-}
-
-impl PartialEq for OpenNode {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for OpenNode {}
-impl Ord for OpenNode {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; we want the smallest bound first, with a
-        // preference for deeper nodes (diving) on ties. `total_cmp` keeps
-        // this a lawful total order even for NaN bounds (which
-        // `checked_bound` rejects upstream anyway): NaN sorts after every
-        // real bound instead of silently comparing "equal" to everything
-        // and corrupting the heap invariant.
-        other
-            .bound
-            .total_cmp(&self.bound)
-            .then(self.depth.cmp(&other.depth))
-    }
-}
-impl PartialOrd for OpenNode {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// Expands a compressed LP solution back to full model-variable space.
@@ -505,7 +448,7 @@ impl PcTables {
 /// objective, and provenance.
 pub(crate) type Incumbent = (Vec<f64>, f64, IncumbentSource);
 
-/// Everything both search engines need, immutable for the whole solve.
+/// Everything the search needs, immutable for the whole solve.
 pub(crate) struct SearchCtx<'a> {
     pub(crate) model: &'a Model,
     pub(crate) config: &'a BranchConfig,
@@ -520,15 +463,15 @@ pub(crate) struct SearchCtx<'a> {
     pub(crate) obj_offset: f64,
     pub(crate) start: Instant,
     /// Optimal basis of the (cut-augmented) root LP, solved once during
-    /// [`prepare`]; both engines seed their root node with it so the first
+    /// [`prepare`]; the search seeds its root node with it so the first
     /// node is a near-free dual warm restart instead of a from-scratch
     /// solve.
     pub(crate) root_basis: Option<Arc<Basis>>,
     /// Per-phase breakdown of the work done in [`prepare`].
     pub(crate) root_profile: RootProfile,
-    /// Kernel hypersparsity counters of the root stage (the engines add
-    /// their own node-loop counters on top in [`finish`]).
-    pub(crate) root_kernel: KernelStats,
+    /// LP work of the root stage, interrupted solves included (the search
+    /// adds its node-loop work on top in [`finish`]).
+    pub(crate) root_work: LpWork,
 }
 
 impl SearchCtx<'_> {
@@ -544,29 +487,10 @@ impl SearchCtx<'_> {
                 self.model.objective.constant()
             }
     }
-
-    /// Admits `vals` as the incumbent if it strictly improves the current
-    /// one, recording a timeline event.
-    pub(crate) fn admit(
-        &self,
-        vals: Vec<f64>,
-        source: IncumbentSource,
-        inc: &mut Option<Incumbent>,
-        timeline: &mut Vec<IncumbentEvent>,
-    ) {
-        let obj = self.eval_obj(&vals);
-        if inc.as_ref().is_none_or(|(_, best, _)| obj < best - 1e-9) {
-            timeline.push(IncumbentEvent {
-                at: self.start.elapsed(),
-                objective: obj,
-                source,
-            });
-            *inc = Some((vals, obj, source));
-        }
-    }
 }
 
-/// Search telemetry counters, shared by both engines.
+/// Search telemetry counters. Each worker keeps its own; the search sums
+/// them when the workers join.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SearchCounters {
     /// Nodes popped and processed (LP relaxation attempted).
@@ -576,21 +500,28 @@ pub(crate) struct SearchCounters {
     pub(crate) pruned: u64,
     /// Nodes split into two children.
     pub(crate) branched: u64,
-    /// Simplex iterations across all LP solves.
-    pub(crate) lp_iters: u64,
     /// Nodes that arrived with a cached parent basis and tried the dual
     /// warm restart.
     pub(crate) warm_attempts: u64,
     /// Warm-restart attempts that reoptimized without falling back to the
     /// from-scratch primal.
     pub(crate) warm_hits: u64,
-    /// Basis re-inversions (eta-file rebuilds) across all LP solves.
-    pub(crate) refactors: u64,
-    /// FTRAN/BTRAN hypersparsity counters across all LP solves.
-    pub(crate) kernel: KernelStats,
+    /// LP work across all node solves, interrupted ones included.
+    pub(crate) lp: LpWork,
 }
 
-/// What a search engine hands back for final assembly.
+impl SearchCounters {
+    pub(crate) fn absorb(&mut self, o: &SearchCounters) {
+        self.explored += o.explored;
+        self.pruned += o.pruned;
+        self.branched += o.branched;
+        self.warm_attempts += o.warm_attempts;
+        self.warm_hits += o.warm_hits;
+        self.lp.absorb(&o.lp);
+    }
+}
+
+/// What the search hands back for final assembly.
 pub(crate) struct SearchOutcome {
     pub(crate) incumbent: Option<Incumbent>,
     /// Minimize-space timeline; flipped to caller space by [`finish`].
@@ -601,17 +532,21 @@ pub(crate) struct SearchOutcome {
     pub(crate) saw_unbounded_root: bool,
 }
 
-/// The model/config digest both engines start from.
+/// The model/config digest the search starts from.
 pub(crate) struct Prepared<'a> {
     pub(crate) ctx: SearchCtx<'a>,
-    pub(crate) incumbent: Option<Incumbent>,
-    pub(crate) timeline: Vec<IncumbentEvent>,
+    /// Validated warm starts, `initial` first: the search offers them as
+    /// incumbents in this order.
+    pub(crate) starts: Vec<Vec<f64>>,
     pub(crate) warm_start: WarmStartStatus,
 }
 
 /// Presolves, standardizes and validates warm starts — everything up to
 /// (but not including) the node loop.
-fn prepare<'a>(model: &'a Model, config: &'a BranchConfig) -> Result<Prepared<'a>, SolveError> {
+pub(crate) fn prepare<'a>(
+    model: &'a Model,
+    config: &'a BranchConfig,
+) -> Result<Prepared<'a>, SolveError> {
     let start = Instant::now();
     let maximize = model.sense == Sense::Maximize;
     let budget = config.effective_budget();
@@ -665,15 +600,15 @@ fn prepare<'a>(model: &'a Model, config: &'a BranchConfig) -> Result<Prepared<'a
     let obj_offset = std.obj_offset - model.objective.constant() + signed_const;
 
     // Solve the root LP once, run the cut loop on it, and hand the final
-    // basis to the engines so their root node is a near-free warm restart.
-    let mut root_kernel = KernelStats::default();
+    // basis to the search so its root node is a near-free warm restart.
+    let mut root_work = LpWork::default();
     let root_basis = root_stage(
         &mut std,
         &lp_opts,
         config.cuts,
         config.reduce,
         &mut profile,
-        &mut root_kernel,
+        &mut root_work,
     )?;
 
     let ctx = SearchCtx {
@@ -688,53 +623,40 @@ fn prepare<'a>(model: &'a Model, config: &'a BranchConfig) -> Result<Prepared<'a
         start,
         root_basis,
         root_profile: profile,
-        root_kernel,
+        root_work,
     };
-
-    let mut incumbent: Option<Incumbent> = None;
-    let mut timeline = Vec::new();
 
     // Validate any warm start up front; the outcome (with the exact
     // violation on rejection) is surfaced on the returned Solution instead
     // of being dropped silently.
+    let mut starts = Vec::new();
     let mut warm_start = WarmStartStatus::NotProvided;
     if let Some(init) = &config.initial {
         match certify_values(model, init, FEAS_TOL * 10.0) {
             Ok(_) => {
                 warm_start = WarmStartStatus::Accepted;
-                ctx.admit(
-                    init.clone(),
-                    IncumbentSource::WarmStart,
-                    &mut incumbent,
-                    &mut timeline,
-                );
+                starts.push(init.clone());
             }
             Err(why) => warm_start = WarmStartStatus::Rejected(why),
         }
     }
 
-    // Handed-off incumbents: validated exactly like the warm start and
-    // admitted through `admit`, which keeps whichever candidate has the
-    // best objective. An infeasible hand-off is simply ignored (the donor
-    // solved a *neighboring* model, so mismatches are expected).
+    // Handed-off incumbents: validated exactly like the warm start. The
+    // search keeps whichever candidate has the best objective. An
+    // infeasible hand-off is simply ignored (the donor solved a
+    // *neighboring* model, so mismatches are expected).
     for cand in &config.extra_starts {
         if certify_values(model, cand, FEAS_TOL * 10.0).is_ok() {
             if warm_start == WarmStartStatus::NotProvided {
                 warm_start = WarmStartStatus::Accepted;
             }
-            ctx.admit(
-                cand.clone(),
-                IncumbentSource::WarmStart,
-                &mut incumbent,
-                &mut timeline,
-            );
+            starts.push(cand.clone());
         }
     }
 
     Ok(Prepared {
         ctx,
-        incumbent,
-        timeline,
+        starts,
         warm_start,
     })
 }
@@ -761,10 +683,8 @@ pub(crate) fn solve_lp_reduced(
         LpReduction::Infeasible => {
             return Ok(LpResult {
                 outcome: LpOutcome::Infeasible,
-                iterations: 0,
-                refactors: 0,
+                work: LpWork::default(),
                 first_factor_us: 0,
-                kernel: KernelStats::default(),
                 basis: None,
             })
         }
@@ -804,10 +724,11 @@ const MAX_CUTS_PER_ROUND: usize = 16;
 /// Solves the root LP and, when enabled, runs the root cut loop: separate
 /// Gomory + cover cuts from the optimal basis, append them (each with its
 /// own slack column), and reoptimize with the dual simplex from the
-/// extended basis. Mutates `std.lp` — the engines then search the
-/// cut-augmented LP — and returns the final root basis.
+/// extended basis. Mutates `std.lp` — the search then explores the
+/// cut-augmented LP — and returns the final root basis. Every LP solve's
+/// work, interrupted ones included, is added to `work`.
 ///
-/// Root conditions the engines already handle (budget exhausted,
+/// Root conditions the search already handles (budget exhausted,
 /// infeasible or unbounded relaxation) return `Ok(None)` so the node loop
 /// rediscovers them through its normal reporting paths; only numerical
 /// breakdown is an error here.
@@ -817,11 +738,12 @@ fn root_stage(
     cuts: CutMode,
     reduce: bool,
     profile: &mut RootProfile,
-    kernel: &mut KernelStats,
+    work: &mut LpWork,
 ) -> Result<Option<Arc<Basis>>, SolveError> {
     let t0 = Instant::now();
-    let result = root_stage_inner(std, lp_opts, cuts, reduce, profile, kernel);
+    let result = root_stage_inner(std, lp_opts, cuts, reduce, profile, work);
     profile.root_lp_us = (t0.elapsed().as_micros() as u64).saturating_sub(profile.cut_us);
+    profile.root_lp_iters = work.iterations;
     result
 }
 
@@ -831,7 +753,7 @@ fn root_stage_inner(
     cuts: CutMode,
     reduce: bool,
     profile: &mut RootProfile,
-    kernel: &mut KernelStats,
+    work: &mut LpWork,
 ) -> Result<Option<Arc<Basis>>, SolveError> {
     let mut red_stats = ReductionStats::default();
     let res = match solve_lp_reduced(
@@ -843,20 +765,19 @@ fn root_stage_inner(
         Some(&mut red_stats),
     ) {
         Ok(r) => r,
-        Err(LpError::Budget { iterations, .. }) => {
-            profile.root_lp_iters += iterations;
+        Err(LpError::Budget { work: spent, .. }) => {
+            work.absorb(&spent);
             return Ok(None);
         }
         Err(LpError::Numerical(msg)) => return Err(SolveError::Numerical(msg)),
     };
     profile.reduce_rows = red_stats.rows_dropped;
     profile.reduce_cols = red_stats.cols_dropped;
-    profile.root_lp_iters += res.iterations;
     profile.first_factor_us = res.first_factor_us;
-    kernel.absorb(&res.kernel);
+    work.absorb(&res.work);
     let (mut x, mut obj) = match res.outcome {
         LpOutcome::Optimal { x, obj } => (x, obj),
-        // Infeasible / unbounded root: let the engines rediscover it.
+        // Infeasible / unbounded root: let the search rediscover it.
         _ => return Ok(None),
     };
     let mut basis = match res.basis {
@@ -911,30 +832,24 @@ fn root_stage_inner(
         // Reoptimize from the extended basis (dual simplex), falling back
         // to a from-scratch solve when the restart goes stale.
         let resolved = match resolve_lp(&std.lp, &std.lp.lb, &std.lp.ub, &basis, lp_opts) {
-            Ok(Some(r)) => r,
-            Ok(None) => {
-                match solve_lp_reduced(&std.lp, &std.lp.lb, &std.lp.ub, lp_opts, reduce, None) {
-                    Ok(r) => r,
-                    Err(LpError::Budget { iterations, .. }) => {
-                        profile.root_lp_iters += iterations;
-                        break;
-                    }
-                    Err(LpError::Numerical(msg)) => return Err(SolveError::Numerical(msg)),
-                }
-            }
-            Err(LpError::Budget { iterations, .. }) => {
-                profile.root_lp_iters += iterations;
+            Ok(Some(r)) => Ok(r),
+            Ok(None) => solve_lp_reduced(&std.lp, &std.lp.lb, &std.lp.ub, lp_opts, reduce, None),
+            Err(e) => Err(e),
+        };
+        let resolved = match resolved {
+            Ok(r) => r,
+            Err(LpError::Budget { work: spent, .. }) => {
+                work.absorb(&spent);
                 break;
             }
             Err(LpError::Numerical(msg)) => return Err(SolveError::Numerical(msg)),
         };
-        profile.root_lp_iters += resolved.iterations;
-        kernel.absorb(&resolved.kernel);
+        work.absorb(&resolved.work);
         let (nx, nobj) = match resolved.outcome {
             LpOutcome::Optimal { x, obj } => (x, obj),
             // Cuts hold for every integer point, so a cut-infeasible
             // relaxation means the integer problem is infeasible; hand the
-            // augmented LP back basis-less and let the engines report it.
+            // augmented LP back basis-less and let the search report it.
             LpOutcome::Infeasible | LpOutcome::Unbounded => return Ok(None),
         };
         let Some(nb) = resolved.basis else { break };
@@ -964,6 +879,16 @@ pub(crate) fn finish(
     if out.saw_unbounded_root {
         return Err(SolveError::Unbounded);
     }
+    let Some((values, obj, source)) = out.incumbent else {
+        return Err(match out.limit_hit {
+            None => SolveError::Infeasible,
+            Some(l) => SolveError::Limit(l),
+        });
+    };
+    let (status, bound) = match out.limit_hit {
+        None => (SolveStatus::Optimal, obj),
+        Some(_) => (SolveStatus::Feasible, out.best_open_bound.min(obj)),
+    };
     let flip = |v: f64| if ctx.maximize { -v } else { v };
     let timeline: Vec<IncumbentEvent> = out
         .timeline
@@ -973,67 +898,34 @@ pub(crate) fn finish(
             ..e
         })
         .collect();
-    let jobs = ctx.config.jobs.max(1);
-    // Root-stage LP iterations happened before the engines took over, so
-    // the node-loop counters do not include them.
-    let lp_iterations = out.counters.lp_iters + ctx.root_profile.root_lp_iters;
-    let mut kernel = ctx.root_kernel;
-    kernel.absorb(&out.counters.kernel);
-    match (out.incumbent, out.limit_hit) {
-        (Some((vals, obj, source)), None) => Ok(Solution {
-            values: vals,
-            objective: flip(obj),
-            best_bound: flip(obj),
-            status: SolveStatus::Optimal,
-            nodes: out.counters.explored,
-            nodes_pruned: out.counters.pruned,
-            nodes_branched: out.counters.branched,
-            lp_iterations,
-            lp_warm_attempts: out.counters.warm_attempts,
-            lp_warm_hits: out.counters.warm_hits,
-            lp_refactors: out.counters.refactors,
-            lp_ftran: kernel.ftran,
-            lp_ftran_hyper: kernel.ftran_hyper,
-            lp_btran: kernel.btran,
-            lp_btran_hyper: kernel.btran_hyper,
-            wall_time: ctx.start.elapsed(),
-            incumbent_source: source,
-            warm_start,
-            certificate: None,
-            timeline,
-            jobs,
-            root_profile: ctx.root_profile,
-        }),
-        (Some((vals, obj, source)), Some(_)) => {
-            let bound = out.best_open_bound.min(obj);
-            Ok(Solution {
-                values: vals,
-                objective: flip(obj),
-                best_bound: flip(bound),
-                status: SolveStatus::Feasible,
-                nodes: out.counters.explored,
-                nodes_pruned: out.counters.pruned,
-                nodes_branched: out.counters.branched,
-                lp_iterations,
-                lp_warm_attempts: out.counters.warm_attempts,
-                lp_warm_hits: out.counters.warm_hits,
-                lp_refactors: out.counters.refactors,
-                lp_ftran: kernel.ftran,
-                lp_ftran_hyper: kernel.ftran_hyper,
-                lp_btran: kernel.btran,
-                lp_btran_hyper: kernel.btran_hyper,
-                wall_time: ctx.start.elapsed(),
-                incumbent_source: source,
-                warm_start,
-                certificate: None,
-                timeline,
-                jobs,
-                root_profile: ctx.root_profile,
-            })
-        }
-        (None, None) => Err(SolveError::Infeasible),
-        (None, Some(l)) => Err(SolveError::Limit(l)),
-    }
+    // Root-stage LP work happened before the search took over, so the
+    // node-loop counters do not include it.
+    let mut lp = ctx.root_work;
+    lp.absorb(&out.counters.lp);
+    Ok(Solution {
+        values,
+        objective: flip(obj),
+        best_bound: flip(bound),
+        status,
+        nodes: out.counters.explored,
+        nodes_pruned: out.counters.pruned,
+        nodes_branched: out.counters.branched,
+        lp_iterations: lp.iterations,
+        lp_warm_attempts: out.counters.warm_attempts,
+        lp_warm_hits: out.counters.warm_hits,
+        lp_refactors: lp.refactors,
+        lp_ftran: lp.kernel.ftran,
+        lp_ftran_hyper: lp.kernel.ftran_hyper,
+        lp_btran: lp.kernel.btran,
+        lp_btran_hyper: lp.kernel.btran_hyper,
+        wall_time: ctx.start.elapsed(),
+        incumbent_source: source,
+        warm_start,
+        certificate: None,
+        timeline,
+        jobs: ctx.config.jobs.max(1),
+        root_profile: ctx.root_profile,
+    })
 }
 
 /// Solves `model` by branch and bound.
@@ -1045,242 +937,13 @@ pub(crate) fn finish(
 /// * [`SolveError::Limit`] when a limit fires before any feasible point.
 /// * [`SolveError::Numerical`] on simplex breakdown.
 pub fn solve(model: &Model, config: &BranchConfig) -> Result<Solution, SolveError> {
-    let prep = prepare(model, config)?;
     let Prepared {
         ctx,
-        incumbent,
-        timeline,
+        starts,
         warm_start,
-    } = prep;
-    let out = if config.jobs > 1 {
-        crate::parallel::search(&ctx, incumbent, timeline)?
-    } else {
-        sequential(&ctx, incumbent, timeline)?
-    };
+    } = prepare(model, config)?;
+    let out = crate::search::search(&ctx, starts)?;
     finish(&ctx, warm_start, out)
-}
-
-/// The legacy single-threaded best-first loop.
-fn sequential(
-    ctx: &SearchCtx<'_>,
-    mut incumbent: Option<Incumbent>,
-    mut timeline: Vec<IncumbentEvent>,
-) -> Result<SearchOutcome, SolveError> {
-    let config = ctx.config;
-    let std = &ctx.std;
-    let mut counters = SearchCounters::default();
-
-    // Root node.
-    let arena = &mut NodeArena { nodes: Vec::new() };
-    let mut heap = BinaryHeap::new();
-    heap.push(OpenNode {
-        bound: f64::NEG_INFINITY,
-        depth: 0,
-        arena_idx: usize::MAX,
-        branch: None,
-        // The root LP was already solved (and cut) in `prepare`; restarting
-        // from its basis makes the first node a handful of dual pivots.
-        basis: ctx.root_basis.clone(),
-    });
-    let mut pc = PcTables::new(std.lp.num_structural);
-
-    let mut best_open_bound = f64::NEG_INFINITY;
-    let mut limit_hit: Option<String> = None;
-    let mut saw_unbounded_root = false;
-
-    let mut lb_buf = vec![0.0; std.lp.num_cols];
-    let mut ub_buf = vec![0.0; std.lp.num_cols];
-
-    while let Some(node) = heap.pop() {
-        // Prune against incumbent.
-        if let Some((_, best, _)) = &incumbent {
-            if node.bound >= best - config.gap_tol * best.abs().max(1.0) {
-                counters.pruned += 1;
-                continue;
-            }
-        }
-        if let Err(reason) = ctx.budget.check() {
-            limit_hit = Some(reason.to_string());
-            best_open_bound = node.bound;
-            break;
-        }
-        if counters.explored >= config.node_limit {
-            limit_hit = Some(format!("node limit {}", config.node_limit));
-            best_open_bound = node.bound;
-            break;
-        }
-        counters.explored += 1;
-
-        // Materialize bounds for this node, then propagate them through
-        // the rows (often fixes chains or proves the node empty cheaply).
-        lb_buf.copy_from_slice(&std.lp.lb);
-        ub_buf.copy_from_slice(&std.lp.ub);
-        arena.apply(node.arena_idx, &mut lb_buf, &mut ub_buf);
-        if lb_buf
-            .iter()
-            .zip(ub_buf.iter())
-            .any(|(l, u)| *l > u + FEAS_TOL)
-        {
-            counters.pruned += 1;
-            continue; // branching made it empty
-        }
-        if !propagate_bounds(&std.lp, &mut lb_buf, &mut ub_buf, &std.col_is_int, 3) {
-            counters.pruned += 1;
-            continue; // propagation proved infeasibility
-        }
-
-        // Warm restart from the parent's basis when the node carries one,
-        // falling back to the from-scratch two-phase primal on a miss.
-        let mut res: Option<LpResult> = None;
-        if ctx.config.reuse_basis {
-            if let Some(basis) = node.basis.as_deref() {
-                counters.warm_attempts += 1;
-                match resolve_lp(&std.lp, &lb_buf, &ub_buf, basis, &ctx.lp_opts) {
-                    Ok(Some(r)) => {
-                        counters.warm_hits += 1;
-                        res = Some(r);
-                    }
-                    Ok(None) => {} // stale basis: primal fallback below
-                    Err(LpError::Budget { reason, iterations }) => {
-                        counters.lp_iters += iterations;
-                        limit_hit = Some(reason.to_string());
-                        best_open_bound = node.bound;
-                        break;
-                    }
-                    Err(LpError::Numerical(msg)) => return Err(SolveError::Numerical(msg)),
-                }
-            }
-        }
-        let res = match res {
-            Some(r) => r,
-            None => match solve_lp_reduced(
-                &std.lp,
-                &lb_buf,
-                &ub_buf,
-                &ctx.lp_opts,
-                ctx.config.reduce,
-                None,
-            ) {
-                Ok(r) => r,
-                Err(LpError::Budget { reason, iterations }) => {
-                    // Budget ran out inside the pivot loop: stop gracefully
-                    // with the incumbent found so far, like any other limit.
-                    counters.lp_iters += iterations;
-                    limit_hit = Some(reason.to_string());
-                    best_open_bound = node.bound;
-                    break;
-                }
-                Err(LpError::Numerical(msg)) => return Err(SolveError::Numerical(msg)),
-            },
-        };
-        counters.lp_iters += res.iterations;
-        counters.refactors += res.refactors;
-        counters.kernel.absorb(&res.kernel);
-        let child_basis = res.basis.map(Arc::new);
-        let (x, lp_obj) = match res.outcome {
-            LpOutcome::Infeasible => {
-                counters.pruned += 1;
-                continue;
-            }
-            LpOutcome::Unbounded => {
-                if node.depth == 0 && incumbent.is_none() {
-                    saw_unbounded_root = true;
-                    break;
-                }
-                counters.pruned += 1;
-                continue;
-            }
-            LpOutcome::Optimal { x, obj } => (x, checked_bound(obj + ctx.obj_offset)?),
-        };
-
-        // Pseudocost update from the branching that created this node.
-        if let Some((col, up, parent_obj, dist)) = node.branch {
-            pc.observe(col, up, parent_obj, dist, lp_obj);
-        }
-
-        if let Some((_, best, _)) = &incumbent {
-            if lp_obj >= best - config.gap_tol * best.abs().max(1.0) {
-                counters.pruned += 1;
-                continue;
-            }
-        }
-
-        match pc.pick_branch(&x, &std.col_is_int) {
-            None => {
-                // Integral LP optimum: new incumbent.
-                let mut vals = expand(std, &x);
-                for (i, v) in vals.iter_mut().enumerate() {
-                    if ctx.model.vars[i].kind != VarKind::Continuous {
-                        *v = v.round();
-                    }
-                }
-                ctx.admit(
-                    vals,
-                    IncumbentSource::LpIntegral,
-                    &mut incumbent,
-                    &mut timeline,
-                );
-            }
-            Some((c, _)) => {
-                // Heuristic: round and repair occasionally.
-                if config.heuristic_period > 0 && counters.explored % config.heuristic_period == 1 {
-                    if let Some(vals) = crate::heur::round_and_repair(
-                        &std.lp,
-                        &lb_buf,
-                        &ub_buf,
-                        &std.col_is_int,
-                        &x,
-                        &ctx.lp_opts,
-                    ) {
-                        let full = expand(std, &vals);
-                        if ctx.model.is_feasible(&full, FEAS_TOL * 10.0) {
-                            ctx.admit(
-                                full,
-                                IncumbentSource::Heuristic,
-                                &mut incumbent,
-                                &mut timeline,
-                            );
-                        }
-                    }
-                }
-                counters.branched += 1;
-                let xi = x[c];
-                let down = xi.floor();
-                let up = xi.ceil();
-                let depth = node.depth + 1;
-                debug_assert!(
-                    lp_obj.is_finite(),
-                    "child node bound must be finite, got {lp_obj}"
-                );
-                for (is_lower, value, dist) in [(false, down, xi - down), (true, up, up - xi)] {
-                    arena.nodes.push((
-                        node.arena_idx,
-                        BoundDelta {
-                            col: c as u32,
-                            is_lower,
-                            value,
-                        },
-                    ));
-                    heap.push(OpenNode {
-                        bound: lp_obj,
-                        depth,
-                        arena_idx: arena.nodes.len() - 1,
-                        branch: Some((c, is_lower, lp_obj, dist)),
-                        basis: child_basis.clone(),
-                    });
-                }
-            }
-        }
-    }
-
-    Ok(SearchOutcome {
-        incumbent,
-        timeline,
-        counters,
-        limit_hit,
-        best_open_bound,
-        saw_unbounded_root,
-    })
 }
 
 #[cfg(test)]
@@ -1502,32 +1165,6 @@ mod tests {
     }
 
     #[test]
-    fn open_node_order_is_total_even_with_nan_bounds() {
-        let node = |bound: f64| OpenNode {
-            bound,
-            depth: 0,
-            arena_idx: usize::MAX,
-            branch: None,
-            basis: None,
-        };
-        // Antisymmetry must hold where partial_cmp().unwrap_or(Equal) broke
-        // it: NaN vs real compared Equal both ways before, now the order is
-        // consistent and reversible.
-        let (a, b) = (node(f64::NAN), node(1.0));
-        assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
-        // Pop order stays best-first (smallest bound first) with NaN last.
-        let mut heap = BinaryHeap::new();
-        for bound in [f64::NAN, 1.0, f64::NEG_INFINITY, -3.0] {
-            heap.push(node(bound));
-        }
-        let popped: Vec<f64> = std::iter::from_fn(|| heap.pop().map(|n| n.bound)).collect();
-        assert_eq!(popped[0], f64::NEG_INFINITY);
-        assert_eq!(popped[1], -3.0);
-        assert_eq!(popped[2], 1.0);
-        assert!(popped[3].is_nan());
-    }
-
-    #[test]
     fn nan_objective_is_a_numerical_error() {
         let mut m = Model::new("t");
         let x = m.add_integer("x", 0.0, 5.0);
@@ -1628,6 +1265,98 @@ mod tests {
         );
         // Cut telemetry is consistent: rounds imply cuts and vice versa.
         assert_eq!(p.cut_rounds == 0, p.cuts_added == 0, "{p:?}");
+    }
+
+    /// A 0/1 knapsack with `n` items whose root LP is fractional, plus an
+    /// all-zero (feasible) warm start.
+    fn knapsack_with_warm_start(n: usize) -> (Model, Vec<f64>) {
+        let mut m = Model::new("knap");
+        let items: Vec<_> = (0..n).map(|i| m.add_binary(format!("x{i}"))).collect();
+        let weight: crate::LinExpr = items
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| (3 + (i * 7) % 11) as f64 * x)
+            .sum();
+        let value: crate::LinExpr = items
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| (5 + (i * 13) % 17) as f64 * x)
+            .sum();
+        m.add_constraint("cap", weight, Cmp::Le, (4 * n) as f64);
+        m.set_objective(value, Sense::Maximize);
+        (m, vec![0.0; n])
+    }
+
+    #[test]
+    fn root_stage_refactorizations_are_counted() {
+        // With node_limit 0 the search explores nothing, so every counter
+        // reports root-stage work alone: the root LP factorizes its basis
+        // at least once, and that must show up in the totals.
+        let (m, warm) = knapsack_with_warm_start(40);
+        let cfg = BranchConfig {
+            node_limit: 0,
+            initial: Some(warm),
+            ..BranchConfig::default()
+        };
+        let s = m.solve_with(&cfg).unwrap();
+        assert_eq!(s.status(), SolveStatus::Feasible);
+        assert_eq!(s.nodes(), 0);
+        assert!(s.root_profile().root_lp_iters > 0, "the root LP pivoted");
+        assert_eq!(s.lp_iterations(), s.root_profile().root_lp_iters);
+        assert!(s.lp_refactors() >= 1, "root refactorizations are lost");
+        assert!(s.lp_ftran() > 0 && s.lp_btran() > 0);
+    }
+
+    #[test]
+    fn interrupted_root_lp_keeps_its_work_counters() {
+        // A sparse random LP that needs a few hundred pivots, two budget
+        // checks' worth. A first run measures how long presolve and the
+        // root LP take here; later runs get a deadline a fraction of the
+        // way into the root LP, so the budget interrupts it mid-solve.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let n = 300;
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut m = Model::new("sparse");
+        let xs: Vec<_> = (0..n)
+            .map(|j| m.add_continuous(format!("x{j}"), 0.0, 10.0))
+            .collect();
+        for r in 0..n {
+            let mut row = crate::LinExpr::new();
+            let mut mid = 0.0;
+            for _ in 0..6 {
+                let a = rng.gen_range(1i64..=9) as f64;
+                row += a * xs[rng.gen_range(0..n)];
+                mid += 5.0 * a;
+            }
+            m.add_constraint(format!("r{r}"), row, Cmp::Le, mid);
+        }
+        let obj: crate::LinExpr = xs.iter().map(|&x| rng.gen_range(1i64..=9) as f64 * x).sum();
+        m.set_objective(obj, Sense::Maximize);
+        let base = BranchConfig {
+            node_limit: 0,
+            initial: Some(vec![0.0; n]),
+            time_limit: None,
+            ..BranchConfig::default()
+        };
+        let full = m.solve_with(&base).unwrap().root_profile();
+        assert!(full.root_lp_iters > 512, "too few pivots: {full:?}");
+        // The earliest deadline that lands after the first pivot and
+        // before the last budget check.
+        let s = [16, 8, 4, 2]
+            .into_iter()
+            .map(|f| {
+                let limit = Duration::from_micros(full.presolve_us + full.root_lp_us / f);
+                let cfg = BranchConfig {
+                    time_limit: Some(limit),
+                    ..base.clone()
+                };
+                m.solve_with(&cfg).unwrap()
+            })
+            .find(|s| s.root_profile().root_lp_iters < full.root_lp_iters && s.lp_iterations() > 0)
+            .expect("some deadline interrupts the root LP after it pivoted");
+        assert!(s.lp_refactors() > 0, "refactorizations lost: {s}");
+        assert!(s.lp_ftran() > 0 && s.lp_btran() > 0, "kernel calls lost");
     }
 
     /// Brute-force cross-check on random small ILPs.

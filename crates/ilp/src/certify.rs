@@ -298,10 +298,7 @@ pub(crate) fn certify_lp_rows(
             return Err(format!("column {j} is not finite: {v}"));
         }
         if v < lb[j] - tol || v > ub[j] + tol {
-            return Err(format!(
-                "column {j} = {v} outside [{}, {}]",
-                lb[j], ub[j]
-            ));
+            return Err(format!("column {j} = {v} outside [{}, {}]", lb[j], ub[j]));
         }
     }
     for (r, row) in p.rows.iter().enumerate() {

@@ -61,9 +61,9 @@ mod heur;
 mod linearize;
 mod lp_format;
 mod model;
-mod parallel;
 pub mod presolve;
 mod propagate;
+mod search;
 pub(crate) mod simplex;
 mod solution;
 

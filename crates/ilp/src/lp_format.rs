@@ -258,7 +258,9 @@ fn section_of(toks: &[Tok]) -> Option<(Section, usize)> {
         "minimize" | "minimise" | "min" | "maximize" | "maximise" | "max" => {
             Some((Section::Objective, 1))
         }
-        "subject" | "such" if word(1).as_deref() == Some("to") || word(1).as_deref() == Some("that") => {
+        "subject" | "such"
+            if word(1).as_deref() == Some("to") || word(1).as_deref() == Some("that") =>
+        {
             Some((Section::Constraints, 2))
         }
         "st" | "s.t." => Some((Section::Constraints, 1)),
@@ -716,7 +718,11 @@ mod tests {
         let m = Model::from_lp_format(text).expect("valid LP text");
         assert_eq!(m.name(), "knap");
         let sol = m.solve().expect("solvable");
-        assert!((sol.objective() - 6.0).abs() < 1e-6, "b + c: {}", sol.objective());
+        assert!(
+            (sol.objective() - 6.0).abs() < 1e-6,
+            "b + c: {}",
+            sol.objective()
+        );
     }
 
     /// Keyword spellings, multi-line rows, free vars, and constants on
@@ -734,15 +740,25 @@ mod tests {
         assert!(lp.contains("r2: +1 x -1 y <= 3"));
         let sol = m.solve().expect("solvable");
         // r1 and r2 both bind: x = 2.5, y = -0.5, objective 1.5.
-        assert!((sol.objective() - 1.5).abs() < 1e-6, "objective {}", sol.objective());
+        assert!(
+            (sol.objective() - 1.5).abs() < 1e-6,
+            "objective {}",
+            sol.objective()
+        );
     }
 
     #[test]
     fn parser_rejects_malformed_input() {
         for (text, want) in [
             ("Subject To\n r: x <= 1\nEnd", "Minimize/Maximize"),
-            ("Minimize\n obj: x\nSubject To\n r: x <=\nEnd", "unterminated"),
-            ("Minimize\n obj: x\nBounds\n 3 <= x <= 1\nEnd", "empty bounds"),
+            (
+                "Minimize\n obj: x\nSubject To\n r: x <=\nEnd",
+                "unterminated",
+            ),
+            (
+                "Minimize\n obj: x\nBounds\n 3 <= x <= 1\nEnd",
+                "empty bounds",
+            ),
             ("Minimize\n obj: x ?\nEnd", "unexpected character"),
         ] {
             let e = Model::from_lp_format(text).expect_err(text);

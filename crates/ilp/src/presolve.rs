@@ -657,8 +657,14 @@ impl ReducedLp {
             }
             let v = x[j];
             let (src, at_node_bound) = match status[j] {
-                ColStatus::AtLower => (self.red_lb_src[j], (v - node_lb[j]).abs() <= REDUCE_BOUND_TOL),
-                ColStatus::AtUpper => (self.red_ub_src[j], (v - node_ub[j]).abs() <= REDUCE_BOUND_TOL),
+                ColStatus::AtLower => (
+                    self.red_lb_src[j],
+                    (v - node_lb[j]).abs() <= REDUCE_BOUND_TOL,
+                ),
+                ColStatus::AtUpper => (
+                    self.red_ub_src[j],
+                    (v - node_ub[j]).abs() <= REDUCE_BOUND_TOL,
+                ),
                 ColStatus::Basic => unreachable!(),
             };
             if at_node_bound {
@@ -806,10 +812,7 @@ pub(crate) fn reduce_lp(p: &LpProblem, lb: &[f64], ub: &[f64]) -> LpReduction {
         // overlapping intervals (a ≤/≥ pair forming a range) keep both.
         {
             let mut sigs: Vec<(Vec<(u32, f64)>, usize)> = Vec::new();
-            for r in 0..m {
-                if !row_alive[r] {
-                    continue;
-                }
+            for r in (0..m).filter(|&r| row_alive[r]) {
                 let slack = (ns + r) as u32;
                 let mut sig: Vec<(u32, f64)> = p.rows[r]
                     .iter()
@@ -871,10 +874,7 @@ pub(crate) fn reduce_lp(p: &LpProblem, lb: &[f64], ub: &[f64]) -> LpReduction {
         // Columns whose bounds the *reduction* collapsed stay live — their
         // values must remain explicit for basis promotion to work.
         let mut occ = vec![0u32; ns];
-        for r in 0..m {
-            if !row_alive[r] {
-                continue;
-            }
+        for r in (0..m).filter(|&r| row_alive[r]) {
             let slack = (ns + r) as u32;
             for &(c, a) in &p.rows[r] {
                 if c != slack && a != 0.0 && col_alive[c as usize] {
@@ -1050,7 +1050,7 @@ mod tests {
         let mut rows: Vec<Vec<(u32, f64)>> = Vec::new();
         let mut rhs: Vec<f64> = Vec::new();
         for r in 0..m {
-            let slack = (ns + r) as usize;
+            let slack = ns + r;
             match rng.gen_range(0..3) {
                 0 => {} // ≤ row: slack [0, ∞), the default
                 1 => {
@@ -1069,7 +1069,8 @@ mod tests {
                 // Empty row.
             } else if kind <= 2 {
                 let j = rng.gen_range(0..ns) as u32;
-                let a = rng.gen_range(1..4) as f64 * if rng.gen_range(0..2) == 0 { 1.0 } else { -1.0 };
+                let a =
+                    rng.gen_range(1..4) as f64 * if rng.gen_range(0..2) == 0 { 1.0 } else { -1.0 };
                 row.push((j, a));
             } else if kind == 3 && r > 0 {
                 // Duplicate the previous row's structural pattern.
@@ -1161,7 +1162,10 @@ mod tests {
         // instances reduce, and postsolved bases come back regularly
         // (many instances reduce to zero rows, where there is no basis
         // to lift — the ones that keep rows are the interesting cases).
-        assert!(reduced_cases >= 100, "only {reduced_cases} instances reduced");
+        assert!(
+            reduced_cases >= 100,
+            "only {reduced_cases} instances reduced"
+        );
         assert!(bases_lifted >= 25, "only {bases_lifted} bases postsolved");
     }
 

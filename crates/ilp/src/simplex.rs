@@ -155,14 +155,14 @@ impl SimplexOpts {
 /// with its incumbent on the former and propagate the latter.
 #[derive(Debug, Clone)]
 pub(crate) enum LpError {
-    /// The shared wall-clock budget ran out mid-solve. `iterations` carries
-    /// the pivots already spent, so callers can account for partial work
-    /// instead of losing it from the telemetry.
+    /// The shared wall-clock budget ran out mid-solve. `work` carries the
+    /// pivots, re-inversions and kernel calls already spent, so callers can
+    /// account for partial work instead of losing it from the telemetry.
     Budget {
         /// Which budget fired.
         reason: BudgetExceeded,
-        /// Simplex iterations performed before the budget fired.
-        iterations: u64,
+        /// Work performed before the budget fired.
+        work: LpWork,
     },
     /// Simplex breakdown (iteration cap, non-finite data).
     Numerical(String),
@@ -433,20 +433,36 @@ pub(crate) enum LpOutcome {
     Unbounded,
 }
 
+/// The work counters of LP solves: reported by a finished solve and
+/// carried by a budget interruption alike, and summed by the callers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct LpWork {
+    /// Simplex iterations across all phases.
+    pub(crate) iterations: u64,
+    /// Basis re-inversions (eta-file rebuilds).
+    pub(crate) refactors: u64,
+    /// Hypersparsity counters for the FTRAN/BTRAN kernels.
+    pub(crate) kernel: KernelStats,
+}
+
+impl LpWork {
+    pub(crate) fn absorb(&mut self, o: &LpWork) {
+        self.iterations += o.iterations;
+        self.refactors += o.refactors;
+        self.kernel.absorb(&o.kernel);
+    }
+}
+
 /// A finished LP solve: the outcome plus the work done and, for optimal
 /// outcomes without artificials left in the basis, a reusable [`Basis`].
 #[derive(Debug, Clone)]
 pub(crate) struct LpResult {
     pub outcome: LpOutcome,
-    /// Simplex iterations across all phases of this solve.
-    pub iterations: u64,
-    /// Basis re-inversions (eta-file rebuilds) performed.
-    pub refactors: u64,
+    /// Work done across all phases of this solve.
+    pub work: LpWork,
     /// Microseconds spent in the first basis factorization of this solve
     /// (0 when the trivial no-constraint path skipped factorization).
     pub first_factor_us: u64,
-    /// Hypersparsity counters for the FTRAN/BTRAN kernels of this solve.
-    pub kernel: KernelStats,
     /// The final basis when it is warm-restartable (optimal, and no
     /// artificial column basic); `None` otherwise.
     pub basis: Option<Basis>,
@@ -671,8 +687,8 @@ struct Core<'a> {
     /// Eta-file length right after the last re-inversion; pivots since then
     /// is `etas.len() - etas_base`, which drives the refactor cadence.
     etas_base: usize,
-    iterations: u64,
-    refactors: u64,
+    /// Work done so far.
+    work: LpWork,
     /// Devex reference weights per column (primal pricing).
     devex_w: Vec<f64>,
     /// Devex reference weights per row (dual leaving-row pricing).
@@ -689,8 +705,6 @@ struct Core<'a> {
     /// etas in creation order, plus the dedup marks.
     fire_heap: std::collections::BinaryHeap<std::cmp::Reverse<u32>>,
     fire_queued: Vec<bool>,
-    /// Hypersparsity counters for this solve.
-    kernel: KernelStats,
 }
 
 impl Core<'_> {
@@ -777,7 +791,7 @@ impl Core<'_> {
     /// remaining etas are applied densely — the arithmetic is identical
     /// either way.
     fn ftran_sparse(&mut self, v: &mut WorkVec) {
-        self.kernel.ftran += 1;
+        self.work.kernel.ftran += 1;
         let cut = hyper_cut(self.m);
         // First factorization eta still to be applied densely after a
         // cutover; etas_base when the hypersparse pass ran to completion.
@@ -872,7 +886,7 @@ impl Core<'_> {
             }
         }
         if !v.dense {
-            self.kernel.ftran_hyper += 1;
+            self.work.kernel.ftran_hyper += 1;
         }
     }
 
@@ -883,7 +897,7 @@ impl Core<'_> {
     /// pattern: row-sweep pricing over only the rows with `ρ_r ≠ 0`
     /// instead of a dot product against every column.
     fn btran_sparse(&mut self, v: &mut WorkVec) {
-        self.kernel.btran += 1;
+        self.work.kernel.btran += 1;
         let cut = hyper_cut(self.m);
         for e in self.etas.iter().rev() {
             let r = e.row as usize;
@@ -902,7 +916,7 @@ impl Core<'_> {
             v.vals[r] = s;
         }
         if !v.dense {
-            self.kernel.btran_hyper += 1;
+            self.work.kernel.btran_hyper += 1;
         }
     }
 
@@ -941,12 +955,12 @@ impl Core<'_> {
     /// even for a diagonal basis, which at the prefix m=64 LP's 133 k rows
     /// burned ~51 s before the first simplex pivot.
     fn refactorize(&mut self) -> Result<(), String> {
-        let t0 = if self.refactors == 0 {
+        let t0 = if self.work.refactors == 0 {
             Some(Instant::now())
         } else {
             None
         };
-        self.refactors += 1;
+        self.work.refactors += 1;
         self.etas.clear();
         // Devex weights are relative to a reference framework that a
         // re-inversion invalidates (row assignments may permute below):
@@ -1104,13 +1118,13 @@ impl Core<'_> {
 
     /// Iteration-cap and wall-clock checks shared by both pivot loops.
     fn check_limits(&self, opts: &SimplexOpts) -> Result<(), SimplexStop> {
-        if self.iterations >= opts.max_iters {
+        if self.work.iterations >= opts.max_iters {
             return Err(SimplexStop::IterationLimit);
         }
         // Amortize clock reads over ~BUDGET_CHECK_WORK row-operations: tiny
         // LPs check every few hundred pivots, wide ones every pivot.
         let period = (BUDGET_CHECK_WORK / self.m.max(1) as u64).clamp(1, 256);
-        if self.iterations.is_multiple_of(period) {
+        if self.work.iterations.is_multiple_of(period) {
             if let Err(reason) = opts.budget.check() {
                 return Err(SimplexStop::Budget(reason));
             }
@@ -1175,7 +1189,7 @@ impl Core<'_> {
             let Some((q, dir)) = enter else {
                 return Ok(()); // optimal
             };
-            self.iterations += 1;
+            self.work.iterations += 1;
 
             // --- w = B⁻¹·a_q, the tableau column of q.
             w.clear();
@@ -1421,7 +1435,7 @@ impl Core<'_> {
             let Some((r, above, viol)) = r_sel else {
                 return Ok(DualEnd::PrimalFeasible);
             };
-            self.iterations += 1;
+            self.work.iterations += 1;
 
             // --- ρ = B⁻ᵀ·e_r, the r-th row of B⁻¹; α_j = ρ·a_j, via a
             // row sweep over ρ's pattern when it stayed sparse (the dual
@@ -1663,10 +1677,8 @@ impl Core<'_> {
             .sum::<f64>();
         LpResult {
             outcome: LpOutcome::Optimal { x, obj },
-            iterations: self.iterations,
-            refactors: self.refactors,
+            work: self.work,
             first_factor_us: self.first_factor_us,
-            kernel: self.kernel,
             basis: self.snapshot(),
         }
     }
@@ -1675,11 +1687,17 @@ impl Core<'_> {
     fn ended(&self, outcome: LpOutcome) -> LpResult {
         LpResult {
             outcome,
-            iterations: self.iterations,
-            refactors: self.refactors,
+            work: self.work,
             first_factor_us: self.first_factor_us,
-            kernel: self.kernel,
             basis: None,
+        }
+    }
+
+    /// The budget interruption of this solve, with the work spent so far.
+    fn budget_error(&self, reason: BudgetExceeded) -> LpError {
+        LpError::Budget {
+            reason,
+            work: self.work,
         }
     }
 }
@@ -1720,10 +1738,8 @@ pub(crate) fn solve_lp_from(
             if !v.is_finite() && c != 0.0 {
                 return Ok(LpResult {
                     outcome: LpOutcome::Unbounded,
-                    iterations: 0,
-                    refactors: 0,
+                    work: LpWork::default(),
                     first_factor_us: 0,
-                    kernel: KernelStats::default(),
                     basis: None,
                 });
             }
@@ -1733,10 +1749,8 @@ pub(crate) fn solve_lp_from(
         }
         return Ok(LpResult {
             outcome: LpOutcome::Optimal { x, obj },
-            iterations: 0,
-            refactors: 0,
+            work: LpWork::default(),
             first_factor_us: 0,
-            kernel: KernelStats::default(),
             basis: None,
         });
     }
@@ -1855,15 +1869,13 @@ pub(crate) fn solve_lp_from(
         val,
         etas: Vec::new(),
         etas_base: 0,
-        iterations: 0,
-        refactors: 0,
+        work: LpWork::default(),
         devex_w: vec![1.0; total_cols],
         dual_w: vec![1.0; m],
         first_factor_us: 0,
         row_eta: Vec::new(),
         fire_heap: std::collections::BinaryHeap::new(),
         fire_queued: vec![false; m],
-        kernel: KernelStats::default(),
     };
     // The initial basis (slacks at +1, artificials at ±1) is diagonal;
     // re-inversion builds its trivial eta file and cannot fail.
@@ -1880,10 +1892,7 @@ pub(crate) fn solve_lp_from(
             "simplex iteration limit {} hit in phase {phase}",
             opts.max_iters
         )),
-        SimplexStop::Budget(reason) => LpError::Budget {
-            reason,
-            iterations: core.iterations,
-        },
+        SimplexStop::Budget(reason) => core.budget_error(reason),
         SimplexStop::Singular(msg) => LpError::Numerical(msg),
     };
 
@@ -2011,15 +2020,13 @@ pub(crate) fn resolve_lp(
         val,
         etas: Vec::new(),
         etas_base: 0,
-        iterations: 0,
-        refactors: 0,
+        work: LpWork::default(),
         devex_w: vec![1.0; n],
         dual_w: vec![1.0; m],
         first_factor_us: 0,
         row_eta: Vec::new(),
         fire_heap: std::collections::BinaryHeap::new(),
         fire_queued: vec![false; m],
-        kernel: KernelStats::default(),
     };
     if core.refactorize().is_err() {
         return Ok(None); // singular cached basis
@@ -2050,12 +2057,7 @@ pub(crate) fn resolve_lp(
     match core.dual(&mut d, opts) {
         Ok(DualEnd::PrimalFeasible) => {}
         Ok(DualEnd::Infeasible) => return Ok(Some(core.ended(LpOutcome::Infeasible))),
-        Err(SimplexStop::Budget(reason)) => {
-            return Err(LpError::Budget {
-                reason,
-                iterations: core.iterations,
-            })
-        }
+        Err(SimplexStop::Budget(reason)) => return Err(core.budget_error(reason)),
         // Iteration cap or numerical breakdown inside the dual run: report
         // a miss; the fallback primal has its own (full) iteration budget.
         Err(SimplexStop::IterationLimit) | Err(SimplexStop::Singular(_)) => return Ok(None),
@@ -2067,10 +2069,7 @@ pub(crate) fn resolve_lp(
     match core.primal(opts) {
         Ok(()) => Ok(Some(core.optimal_result())),
         Err(SimplexStop::Unbounded) => Ok(Some(core.ended(LpOutcome::Unbounded))),
-        Err(SimplexStop::Budget(reason)) => Err(LpError::Budget {
-            reason,
-            iterations: core.iterations,
-        }),
+        Err(SimplexStop::Budget(reason)) => Err(core.budget_error(reason)),
         Err(SimplexStop::IterationLimit) | Err(SimplexStop::Singular(_)) => Ok(None),
     }
 }
@@ -2213,15 +2212,13 @@ pub(crate) fn gomory_cuts(
         val,
         etas: Vec::new(),
         etas_base: 0,
-        iterations: 0,
-        refactors: 0,
+        work: LpWork::default(),
         devex_w: vec![1.0; n],
         dual_w: vec![1.0; m],
         first_factor_us: 0,
         row_eta: Vec::new(),
         fire_heap: std::collections::BinaryHeap::new(),
         fire_queued: vec![false; m],
-        kernel: KernelStats::default(),
     };
     if core.refactorize().is_err() {
         return Vec::new();
@@ -2946,10 +2943,12 @@ mod tests {
             ..SimplexOpts::default()
         };
         match resolve_lp(&p, &lb, &ub, &basis, &opts) {
-            Err(LpError::Budget { iterations, .. }) => {
+            Err(LpError::Budget { work, .. }) => {
                 // A dead budget fires on the first amortized check, before
-                // any pivot lands.
-                assert_eq!(iterations, 0, "budget error must carry pivots spent");
+                // any pivot lands — but after the re-inversion of the
+                // cached basis, which the payload must still carry.
+                assert_eq!(work.iterations, 0, "budget error must carry pivots spent");
+                assert_eq!(work.refactors, 1, "budget error must carry re-inversions");
             }
             other => panic!("expected a budget error, got {other:?}"),
         }
@@ -2983,9 +2982,9 @@ mod tests {
             other => panic!("unexpected: {other:?}"),
         }
         assert!(
-            res.refactors >= 2,
+            res.work.refactors >= 2,
             "expected mid-solve re-inversions, got {}",
-            res.refactors
+            res.work.refactors
         );
     }
 

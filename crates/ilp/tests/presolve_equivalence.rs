@@ -50,7 +50,7 @@ fn random_mixed(n: usize, seed: u64) -> Model {
 fn solve_objective(model: &Model, probing: bool) -> f64 {
     let cfg = BranchConfig {
         probing,
-        // Isolate the presolve: no cuts, deterministic sequential search.
+        // Isolate the presolve: no cuts, deterministic one-worker search.
         cuts: CutMode::Off,
         pricing: Pricing::Devex,
         jobs: 1,
@@ -60,7 +60,7 @@ fn solve_objective(model: &Model, probing: bool) -> f64 {
 }
 
 fn solve_objective_with(model: &Model, cfg: &BranchConfig) -> f64 {
-    let sol = model.solve_with(&cfg).expect("roster instance must solve");
+    let sol = model.solve_with(cfg).expect("roster instance must solve");
     assert!(sol.is_optimal(), "{}: must prove optimality", model.name());
     assert!(
         sol.certificate().is_some(),

@@ -19,8 +19,11 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> jobs-matrix solver tests (release: parallel B&B vs sequential)"
+echo "==> jobs-matrix solver tests (release: one B&B engine at 1, 2 and 8 workers, pinned 1-worker tree)"
 cargo test -q --release --test solver_parallel
+
+echo "==> benchmark harness tests (e2ebench builds against the crates' public API)"
+cargo test -q --offline --locked --manifest-path e2ebench/Cargo.toml
 
 echo "==> solver smoke gates (release: basis-reuse pivots > 3x, devex root-LP iters > 1.2x Dantzig, or a cut-changed certified objective fails)"
 cargo run -q --release -p gomil-bench --bin solver_scaling -- --quick

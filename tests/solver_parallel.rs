@@ -1,7 +1,8 @@
-//! Jobs-matrix tests for the parallel branch-and-bound engine: the same
+//! Jobs-matrix tests for the branch-and-bound worker pool: the same
 //! model solved with `jobs ∈ {1, 2, 8}` must prove the same objective
-//! (parallelism is a latency knob, never a result knob) and every
-//! returned solution must pass the independent certifier.
+//! (the worker count is a latency knob, never a result knob) and every
+//! returned solution must pass the independent certifier. At `jobs = 1`
+//! the search is deterministic, so its tree is pinned exactly.
 //!
 //! Equality is only meaningful for solves that *prove* optimality — a
 //! time- or node-limited search may legitimately return different
@@ -58,7 +59,7 @@ fn random_milps_prove_the_same_objective_at_any_job_count() {
             let reference = solve_jobs(&model, &base, 1);
             assert!(
                 reference.is_optimal(),
-                "n={n} seed={seed}: sequential solve must prove optimality"
+                "n={n} seed={seed}: one-worker solve must prove optimality"
             );
             assert!(reference.certificate().is_some());
             for jobs in JOBS_MATRIX {
@@ -94,7 +95,7 @@ fn ct_ilp_proves_the_same_schedule_cost_at_any_job_count() {
             ..BranchConfig::default()
         };
         let reference = solve_jobs(&ct.model, &base, 1);
-        assert!(reference.is_optimal(), "CT m={m} proves sequentially");
+        assert!(reference.is_optimal(), "CT m={m} proves with one worker");
         for jobs in JOBS_MATRIX {
             let sol = solve_jobs(&ct.model, &base, jobs);
             assert!(sol.is_optimal(), "CT m={m} jobs={jobs} proves");
@@ -235,6 +236,62 @@ fn nan_objective_is_rejected_at_every_job_count() {
         assert!(
             matches!(err, gomil_ilp::SolveError::Numerical(_)),
             "jobs={jobs}: got {err:?}"
+        );
+    }
+}
+
+/// `jobs = 1` is deterministic: the joint Eq. 27 model of each 3-bit key
+/// explores the same tree on every run, so its search counters are
+/// pinned exactly. Any change to node order, pruning, branching,
+/// heuristic cadence or warm-restart bookkeeping shows up here.
+#[test]
+fn joint_ilp_at_one_job_explores_a_pinned_tree() {
+    use gomil::{joint_ilp, PpgKind};
+    use gomil_arith::{and_ppg, booth8_ppg};
+    use gomil_netlist::Netlist;
+
+    let cfg = GomilConfig::with_budget(Duration::from_secs(86_400));
+    let bcv = |ppg: PpgKind| {
+        let mut nl = Netlist::new("ppg");
+        let a = nl.add_input("a", 3);
+        let b = nl.add_input("b", 3);
+        match ppg {
+            PpgKind::Booth8 => booth8_ppg(&mut nl, &a, &b),
+            _ => and_ppg(&mut nl, &a, &b),
+        }
+        .heights()
+    };
+    // (PPG, objective, nodes, pruned, branched, LP iterations, warm
+    // attempts, warm hits).
+    let pinned = [
+        (PpgKind::And, 60.0, 154, 90, 91, 1_956, 154, 154),
+        (
+            PpgKind::Booth8,
+            33.0,
+            4_481,
+            2_241,
+            2_240,
+            33_419,
+            4_188,
+            4_188,
+        ),
+    ];
+    for (ppg, objective, nodes, pruned, branched, iters, attempts, hits) in pinned {
+        let sol = joint_ilp(&bcv(ppg), &cfg).expect("joint ILP solves");
+        let s = sol.solver_stats.expect("the joint ILP reports its stats");
+        assert_eq!(sol.objective, objective, "{ppg:?}");
+        assert!(s.proven_optimal, "{ppg:?} proves optimality");
+        assert_eq!(s.jobs, 1, "{ppg:?}");
+        assert_eq!(
+            (s.nodes, s.nodes_pruned, s.nodes_branched),
+            (nodes, pruned, branched),
+            "{ppg:?}: nodes, pruned, branched"
+        );
+        assert_eq!(s.lp_iterations, iters, "{ppg:?}: LP iterations");
+        assert_eq!(
+            (s.lp_warm_attempts, s.lp_warm_hits),
+            (attempts, hits),
+            "{ppg:?}: warm attempts, warm hits"
         );
     }
 }
