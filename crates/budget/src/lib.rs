@@ -162,58 +162,6 @@ pub fn parse_deadline_ms(value: &str) -> Option<Duration> {
 /// added to `Instant::now()` without overflow games.
 pub const MAX_DEADLINE_MS: u64 = 3_600_000;
 
-/// Amortizes [`Budget::check`] for very hot loops.
-///
-/// `Budget::check` reads the clock on every call; inner loops that run
-/// millions of times only need deadline resolution of "soon", not "this
-/// iteration". A checker samples
-/// the real budget every `period`-th call and answers from the cached
-/// verdict in between. Once the budget is exceeded the verdict is sticky:
-/// every subsequent call fails immediately without touching the clock.
-#[derive(Debug, Clone)]
-pub struct BudgetChecker {
-    budget: Budget,
-    period: u32,
-    calls: u32,
-    tripped: Option<BudgetExceeded>,
-}
-
-impl BudgetChecker {
-    /// Wraps `budget`, consulting it every `period` calls (`period` is
-    /// clamped to at least 1).
-    pub fn new(budget: Budget, period: u32) -> Self {
-        BudgetChecker {
-            budget,
-            period: period.max(1),
-            calls: 0,
-            tripped: None,
-        }
-    }
-
-    /// Amortized [`Budget::check`]: the first call and every `period`-th
-    /// call after it consult the real budget; the rest return the cached
-    /// verdict.
-    pub fn check(&mut self) -> Result<(), BudgetExceeded> {
-        if let Some(why) = self.tripped {
-            return Err(why);
-        }
-        let sample = self.calls == 0;
-        self.calls = (self.calls + 1) % self.period;
-        if sample {
-            if let Err(why) = self.budget.check() {
-                self.tripped = Some(why);
-                return Err(why);
-            }
-        }
-        Ok(())
-    }
-
-    /// The wrapped budget.
-    pub fn budget(&self) -> &Budget {
-        &self.budget
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,22 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn checker_samples_on_schedule_and_trips_sticky() {
-        let budget = Budget::unlimited();
-        let mut c = BudgetChecker::new(budget.clone(), 4);
-        assert!(c.check().is_ok()); // call 0: samples, ok
-        budget.cancel();
-        // Calls 1–3 run off the cached verdict and must still pass.
-        for _ in 0..3 {
-            assert!(c.check().is_ok());
-        }
-        // Call 4 samples again and trips.
-        assert_eq!(c.check(), Err(BudgetExceeded::Cancelled));
-        // Tripped verdict is sticky regardless of phase.
-        assert_eq!(c.check(), Err(BudgetExceeded::Cancelled));
-    }
-
-    #[test]
     fn deadline_header_parses_strict_millisecond_integers() {
         assert_eq!(parse_deadline_ms("250"), Some(Duration::from_millis(250)));
         assert_eq!(parse_deadline_ms(" 42 "), Some(Duration::from_millis(42)));
@@ -303,12 +235,5 @@ mod tests {
             assert_eq!(parse_deadline_ms(bad), None, "{bad:?} must be rejected");
         }
         assert_eq!(parse_deadline_ms(&(MAX_DEADLINE_MS + 1).to_string()), None);
-    }
-
-    #[test]
-    fn checker_period_is_clamped_to_one() {
-        let budget = Budget::with_limit(Duration::ZERO);
-        let mut c = BudgetChecker::new(budget, 0);
-        assert_eq!(c.check(), Err(BudgetExceeded::Deadline));
     }
 }

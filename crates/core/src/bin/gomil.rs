@@ -1,7 +1,7 @@
 //! `gomil` — command-line front end for the GOMIL reproduction.
 //!
 //! ```text
-//! gomil gen <m> [and|mbe] [--out FILE] [--verify off|fast|strict] [--no-verify]
+//! gomil gen <m> [and|mbe|mbe8|bw] [--out FILE] [--verify off|fast|strict] [--no-verify]
 //!             [--budget-ms N] [--solver-jobs N]
 //!             [--pricing dantzig|devex] [--cuts off|root]
 //!             [--scaling on|off] [--reduce on|off]
@@ -92,6 +92,18 @@ fn main() -> ExitCode {
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
 
+/// The value-taking flags [`cfg_from_args`] reads (it also honours the
+/// `--no-verify` switch).
+const CFG_VALUE_FLAGS: [&str; 7] = [
+    "--budget-ms",
+    "--solver-jobs",
+    "--pricing",
+    "--cuts",
+    "--scaling",
+    "--reduce",
+    "--verify",
+];
+
 /// Parses shared optimizer flags: `--budget-ms N` bounds the whole
 /// pipeline with a wall-clock deadline (expiry degrades the optimizer
 /// down its fallback ladder instead of failing the command),
@@ -169,19 +181,34 @@ fn parse_m(args: &[String]) -> Result<usize, Box<dyn std::error::Error>> {
         .map_err(|e| format!("bad word length: {e}").into())
 }
 
+/// The PPG named after `gen <m>` through [`PpgKind::from_name`] (AND when
+/// none is). Any other argument that is not a known flag or a flag's value
+/// is an error naming it, so a typo never builds the default design.
+fn gen_ppg(args: &[String]) -> Result<PpgKind, String> {
+    let mut ppg = None;
+    let mut rest = args.iter().skip(1);
+    while let Some(a) = rest.next() {
+        if a == "--out" || CFG_VALUE_FLAGS.contains(&a.as_str()) {
+            rest.next();
+        } else if a != "--no-verify" {
+            match PpgKind::from_name(a) {
+                Some(p) if ppg.is_none() => ppg = Some(p),
+                _ => {
+                    return Err(format!(
+                        "unexpected argument `{a}` (usage: gen <m> [and|mbe|mbe8|bw] [flags…])"
+                    ))
+                }
+            }
+        }
+    }
+    Ok(ppg.unwrap_or(PpgKind::And))
+}
+
 fn cmd_gen(args: &[String]) -> CliResult {
     let m = parse_m(args)?;
-    let ppg = if args.iter().any(|a| a == "mbe" || a == "booth") {
-        PpgKind::Booth4
-    } else {
-        PpgKind::And
-    };
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1));
-
     let cfg = cfg_from_args(args)?;
+    let out = parse_flag(args, "--out", |s| Some(s.to_owned()))?;
+    let ppg = gen_ppg(args)?;
     // The equivalence gate runs inside build_gomil: a Failed netlist is a
     // hard error before this point, so reaching here means the verdict is
     // at worst Skipped (when the gate is off).
@@ -201,7 +228,7 @@ fn cmd_gen(args: &[String]) -> CliResult {
     let verilog = design.build.netlist.to_verilog();
     match out {
         Some(path) => {
-            std::fs::File::create(path)?.write_all(verilog.as_bytes())?;
+            std::fs::File::create(&path)?.write_all(verilog.as_bytes())?;
             eprintln!("wrote {path} ({} gates)", design.build.netlist.num_gates());
         }
         None => print!("{verilog}"),

@@ -19,8 +19,9 @@
 //!   where a from-scratch MILP solver cannot close the gap: hill-climbing
 //!   over final-height target profiles, with each candidate evaluated
 //!   *exactly* (a targeted-Dadda schedule generator for the CT side and
-//!   the full interval DP for the prefix side). Unlike the truncated ILP
-//!   it scores the complete prefix cost, not just `c_{L−1:0}`.
+//!   the full interval DP for the prefix side, run once per distinct
+//!   leaf-type profile). Unlike the truncated ILP it scores the complete
+//!   prefix cost, not just `c_{L−1:0}`.
 //! * plain Dadda + optimal prefix — the unconditional last resort; never
 //!   budget-checked, cannot fail.
 //!
@@ -44,6 +45,7 @@ use gomil_ilp::{
 };
 use gomil_netlist::EquivVerdict;
 use gomil_prefix::{dp_tables_budgeted, leaf_types, optimize_prefix_tree, PrefixTree};
+use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -457,34 +459,81 @@ pub(crate) fn unverified() -> EquivVerdict {
     }
 }
 
-/// Budget-aware variant of [`solution_from`]: the prefix DP aborts when the
-/// budget expires, so a hill-climb can bail out mid-candidate.
-fn solution_from_budgeted(
-    vs: Bcv,
+/// A scored target-search candidate. Its prefix tree stays in the
+/// [`PrefixMemo`] until the search has picked its winner.
+struct Candidate {
     schedule: CompressionSchedule,
-    cfg: &GomilConfig,
-    strategy: &'static str,
-    budget: &Budget,
-) -> Result<GlobalSolution, BudgetExceeded> {
-    let ct_cost = schedule.cost(cfg.alpha, cfg.beta);
-    let b = leaf_types(vs.counts());
-    let t = dp_tables_budgeted(&b, cfg.w, None, budget)?;
-    let n = b.len();
-    let (area, delay) = t.area_delay(n - 1, 0);
-    let prefix_cost = area + cfg.w * delay;
-    Ok(GlobalSolution {
-        tree: t.tree(n - 1, 0),
-        schedule,
-        vs,
-        ct_cost,
-        prefix_cost,
-        objective: ct_cost + prefix_cost,
-        strategy,
-        solver_stats: None,
-        degradation: DegradationReport::default(),
-        verdict: unverified(),
-        verify_time: Duration::ZERO,
-    })
+    vs: Bcv,
+    ct_cost: f64,
+    prefix_cost: f64,
+    objective: f64,
+}
+
+/// The prefix side of one target search: the full-width DP's cost and tree
+/// per leaf-type vector.
+///
+/// Besides `cfg.w`, the leaf types are the only input the DP reads, and the
+/// DP is deterministic, so a hit yields exactly the floats and tree a fresh
+/// run would: the memo changes no comparison and no design. What it
+/// changes is speed: the climb scores up to n candidates per round, they
+/// reach only a handful of distinct profiles, and each miss is an `O(n³)`
+/// DP.
+struct PrefixMemo<'a> {
+    cfg: &'a GomilConfig,
+    budget: &'a Budget,
+    solved: HashMap<Vec<bool>, (f64, PrefixTree)>,
+}
+
+impl PrefixMemo<'_> {
+    /// Scores a candidate. Only a miss runs the DP, which aborts when the
+    /// budget expires; a hit cannot fail.
+    fn score(
+        &mut self,
+        schedule: CompressionSchedule,
+        vs: Bcv,
+    ) -> Result<Candidate, BudgetExceeded> {
+        let b = leaf_types(vs.counts());
+        let prefix_cost = match self.solved.get(&b) {
+            Some(&(cost, _)) => cost,
+            None => {
+                let t = dp_tables_budgeted(&b, self.cfg.w, None, self.budget)?;
+                let n = b.len();
+                let (area, delay) = t.area_delay(n - 1, 0);
+                let cost = area + self.cfg.w * delay;
+                self.solved.insert(b, (cost, t.tree(n - 1, 0)));
+                cost
+            }
+        };
+        let ct_cost = schedule.cost(self.cfg.alpha, self.cfg.beta);
+        Ok(Candidate {
+            schedule,
+            vs,
+            ct_cost,
+            prefix_cost,
+            objective: ct_cost + prefix_cost,
+        })
+    }
+
+    /// The search's answer: `best` with its memoized tree.
+    fn into_solution(mut self, best: Candidate) -> GlobalSolution {
+        let (_, tree) = self
+            .solved
+            .remove(&leaf_types(best.vs.counts()))
+            .expect("every candidate is scored through the memo");
+        GlobalSolution {
+            schedule: best.schedule,
+            vs: best.vs,
+            tree,
+            ct_cost: best.ct_cost,
+            prefix_cost: best.prefix_cost,
+            objective: best.objective,
+            strategy: "target-search",
+            solver_stats: None,
+            degradation: DegradationReport::default(),
+            verdict: unverified(),
+            verify_time: Duration::ZERO,
+        }
+    }
 }
 
 /// Joint optimization by hill-climbing over final-height target profiles.
@@ -543,17 +592,23 @@ pub fn target_search_hinted(
         }
     };
 
+    let mut memo = PrefixMemo {
+        cfg,
+        budget,
+        solved: HashMap::new(),
+    };
+
     // Seed: plain Dadda (always feasible) — its own achieved profile.
     let dadda = dadda_schedule(v0);
     let dadda_vs = dadda.final_bcv(v0).expect("dadda is valid");
-    let mut best = solution_from_budgeted(dadda_vs.clone(), dadda, cfg, "target-search", budget)?;
     let mut target: Vec<u32> = dadda_vs.counts().to_vec();
+    let mut best = memo.score(dadda, dadda_vs)?;
 
     // Also try the steered generator on the seed profile (it may already
     // differ from plain Dadda by preferring cheap columns).
     if budget.check().is_ok() {
         if let Some((sched, vs)) = steer(&target) {
-            if let Ok(cand) = solution_from_budgeted(vs, sched, cfg, "target-search", budget) {
+            if let Ok(cand) = memo.score(sched, vs) {
                 if cand.objective < best.objective {
                     best = cand;
                 }
@@ -567,7 +622,7 @@ pub fn target_search_hinted(
         if budget.check().is_ok() {
             let ht = h.adapted(target.len());
             if let Some((sched, vs)) = steer(&ht) {
-                if let Ok(cand) = solution_from_budgeted(vs, sched, cfg, "target-search", budget) {
+                if let Ok(cand) = memo.score(sched, vs) {
                     if cand.objective < best.objective {
                         best = cand;
                         target = ht;
@@ -588,7 +643,7 @@ pub fn target_search_hinted(
             let old = target[j];
             target[j] = if old == 1 { 2 } else { 1 };
             if let Some((sched, vs)) = steer(&target) {
-                match solution_from_budgeted(vs, sched, cfg, "target-search", budget) {
+                match memo.score(sched, vs) {
                     Ok(cand) if cand.objective < best.objective - 1e-9 => {
                         best = cand;
                         improved = true;
@@ -609,7 +664,7 @@ pub fn target_search_hinted(
             break;
         }
     }
-    Ok(best)
+    Ok(memo.into_solution(best))
 }
 
 /// The paper's joint ILP (Eq. 27 with the `L` truncation), warm-started

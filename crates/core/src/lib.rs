@@ -43,7 +43,7 @@
 //! prefix) under an optional end-to-end wall-clock budget
 //! ([`GomilConfig::pipeline_budget`]), recording every absorbed failure in
 //! a [`DegradationReport`]. ILP solutions are re-checked by an independent
-//! certifier before being trusted (see [`gomil_ilp::certify`]).
+//! certifier before being trusted (see [`gomil_ilp::certify()`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -100,3 +100,22 @@ fn malformed_solver_flags_fail_before_any_solve() {
         );
     }
 }
+
+#[test]
+fn gen_rejects_an_unknown_argument_before_any_solve() {
+    let out = gomil(&["gen", "3", "--bogus"]);
+    let log = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{log}");
+    assert!(log.contains("--bogus"), "error names the argument: {log}");
+    assert!(out.stdout.is_empty(), "no Verilog: {log}");
+    assert!(!log.contains("equivalence:"), "ran a solve: {log}");
+}
+
+#[test]
+fn gen_builds_the_named_ppg() {
+    let out = gomil(&["gen", "3", "bw", "--budget-ms", "100"]);
+    let log = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{log}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.starts_with("module gomil_bw_3"), "{log}");
+}

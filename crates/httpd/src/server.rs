@@ -14,6 +14,7 @@
 //!                  │      deadline-aware)
 //!                  ▼
 //!           SolveService::serve_with(request, budget)
+//!                  │  on a long-lived solve-pool worker (see SolvePool);
 //!                  │  budget = per-request deadline + cancel flag;
 //!                  │  cancelled on client disconnect / server drain
 //!                  ▼
@@ -170,12 +171,74 @@ impl Admission {
     }
 }
 
+/// An admitted solve, boxed for a [`SolvePool`] worker.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// Long-lived threads that run the admitted solves, the most recently
+/// idle worker first.
+///
+/// Connection threads live for one connection each. glibc's malloc gives
+/// every thread an arena, and a wide solve leaves a few MiB resident in
+/// the arena that ran it, so solving on connection threads would make the
+/// resident set depend on how connection lifetimes happened to overlap.
+/// Here a new worker starts only when every worker is busy, so solves run
+/// on as many threads as ever solved at once (admission bounds that by
+/// [`HttpdConfig::max_inflight`]), and connection threads only parse and
+/// reply. Workers exit once the pool is dropped.
+#[derive(Default)]
+struct SolvePool {
+    idle: Arc<Mutex<Vec<mpsc::Sender<Job>>>>,
+}
+
+impl SolvePool {
+    /// Starts `solve` on an idle worker, or on a new one when all are
+    /// busy, and returns the channel its result arrives on. A worker that
+    /// panics drops the sender unanswered and is never reused.
+    fn submit<T: Send + 'static>(
+        &self,
+        solve: impl FnOnce() -> T + Send + 'static,
+    ) -> mpsc::Receiver<T> {
+        let (tx, rx) = mpsc::channel();
+        let worker = self
+            .idle
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .pop()
+            .unwrap_or_else(spawn_solve_worker);
+        let idle = Arc::clone(&self.idle);
+        let again = worker.clone();
+        let job: Job = Box::new(move || {
+            let out = solve();
+            // Idle before the answer leaves, so the requester's next
+            // solve finds this worker instead of starting another.
+            idle.lock().unwrap_or_else(|p| p.into_inner()).push(again);
+            tx.send(out).ok();
+        });
+        // A worker exits only by panicking mid-job, and then it never goes
+        // back on the idle stack, so this send cannot fail; if it did, the
+        // dropped job would answer as a panic.
+        worker.send(job).ok();
+        rx
+    }
+}
+
+fn spawn_solve_worker() -> mpsc::Sender<Job> {
+    let (tx, rx) = mpsc::channel::<Job>();
+    std::thread::spawn(move || {
+        for job in rx {
+            job();
+        }
+    });
+    tx
+}
+
 /// State shared by the accept loop, every connection thread, and
 /// [`ServerHandle`]s.
 struct Shared {
     service: Arc<SolveService>,
     cfg: HttpdConfig,
     admission: Admission,
+    solves: SolvePool,
     shutdown: AtomicBool,
     open_conns: AtomicUsize,
     /// Budgets of in-flight requests, cancelled wholesale when the drain
@@ -211,6 +274,19 @@ impl Shared {
 
     fn draining(&self) -> bool {
         self.shutdown.load(Ordering::Relaxed)
+    }
+
+    /// Starts `serve_with(request, budget)` on the solve pool.
+    fn submit_solve(
+        &self,
+        request: &SolveRequest,
+        budget: &Budget,
+    ) -> mpsc::Receiver<Result<ServeOutcome, ServeError>> {
+        let service = Arc::clone(&self.service);
+        let request = request.clone();
+        let budget = budget.clone();
+        self.solves
+            .submit(move || service.serve_with(&request, Some(&budget)))
     }
 
     /// `Retry-After` seconds for a shed reply: the expected time for the
@@ -296,6 +372,7 @@ impl Server {
                 service,
                 cfg,
                 admission: Admission::new(),
+                solves: SolvePool::default(),
                 shutdown: AtomicBool::new(false),
                 open_conns: AtomicUsize::new(0),
                 budgets: Mutex::new(HashMap::new()),
@@ -658,7 +735,10 @@ fn blocking_solve(
     close: bool,
 ) -> io::Result<()> {
     let id = shared.register_budget(budget);
-    let result = shared.service.serve_with(solve_req, Some(budget));
+    let result = shared
+        .submit_solve(solve_req, budget)
+        .recv()
+        .unwrap_or_else(|_| Err(worker_vanished()));
     shared.unregister_budget(id);
     match result {
         Ok(outcome) => reply_json(
@@ -745,9 +825,15 @@ fn handle_lp(
                 ..BranchConfig::default()
             };
             // An arbitrary uploaded model can trip solver panics the
-            // design pipeline never would; contain them to a 500.
-            let result =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| model.solve_with(&cfg)));
+            // design pipeline never would; a worker that panics answers
+            // nothing, which is a 500.
+            let result = shared
+                .solves
+                .submit(move || {
+                    let solved = model.solve_with(&cfg);
+                    (model, solved)
+                })
+                .recv();
             shared.unregister_budget(id);
             shared.admission.release();
             if budget.check().is_err() {
@@ -758,7 +844,9 @@ fn handle_lp(
                     .fetch_add(1, Ordering::Relaxed);
             }
             match result {
-                Ok(solved) => reply_json(stream, 200, &lp_reply_json(&model, &solved), close),
+                Ok((model, solved)) => {
+                    reply_json(stream, 200, &lp_reply_json(&model, &solved), close)
+                }
                 Err(_) => reply_error(stream, 500, "solver panicked", close),
             }
         }
@@ -807,6 +895,12 @@ fn json_number(v: f64) -> String {
     }
 }
 
+/// The answer to a solve whose pool worker panicked outside the service's
+/// own panic containment.
+fn worker_vanished() -> ServeError {
+    ServeError::Panic("solve worker vanished".into())
+}
+
 fn done_event(key: &str, fingerprint: u64, outcome: &ServeOutcome) -> String {
     format!(
         "{{\"event\":\"done\",\"fingerprint\":\"{fingerprint:016x}\",\"key\":{},\"outcome\":{}}}\n",
@@ -828,14 +922,7 @@ fn stream_solve(
     key: &SolveKey,
 ) -> io::Result<()> {
     let id = shared.register_budget(budget);
-    let (tx, rx) = mpsc::channel();
-    let service = Arc::clone(&shared.service);
-    let req = solve_req.clone();
-    let worker_budget = budget.clone();
-    let worker = std::thread::spawn(move || {
-        let result = service.serve_with(&req, Some(&worker_budget));
-        tx.send(result).ok();
-    });
+    let rx = shared.submit_solve(solve_req, budget);
 
     let mut cw = ChunkedWriter::start(&mut *stream, 200, "application/x-ndjson")?;
     let t0 = Instant::now();
@@ -854,7 +941,6 @@ fn stream_solve(
                     // joiners coherent.
                     budget.cancel();
                     let _ = rx.recv();
-                    worker.join().ok();
                     shared.unregister_budget(id);
                     return Err(io::Error::new(
                         io::ErrorKind::BrokenPipe,
@@ -862,12 +948,9 @@ fn stream_solve(
                     ));
                 }
             }
-            Err(RecvTimeoutError::Disconnected) => {
-                break Err(ServeError::Panic("solve worker vanished".into()))
-            }
+            Err(RecvTimeoutError::Disconnected) => break Err(worker_vanished()),
         }
     };
-    worker.join().ok();
     shared.unregister_budget(id);
 
     match outcome {
@@ -933,6 +1016,36 @@ mod tests {
         assert!(matches!(waiter.join().unwrap(), Ticket::Admitted));
         let (inflight, waiting, _) = adm.snapshot();
         assert_eq!((inflight, waiting), (1, 0));
+    }
+
+    /// Solves one after another share one worker thread; a second starts
+    /// only while the first is busy, and a worker that panics is replaced.
+    #[test]
+    fn solve_pool_reuses_idle_workers_and_drops_panicked_ones() {
+        let pool = SolvePool::default();
+        let me = || std::thread::current().id();
+        let first = pool.submit(me).recv().unwrap();
+        for _ in 0..5 {
+            assert_eq!(pool.submit(me).recv().unwrap(), first);
+        }
+        let (go, wait) = mpsc::channel::<()>();
+        let busy = pool.submit(move || {
+            wait.recv().ok();
+            me()
+        });
+        let second = pool.submit(me).recv().unwrap();
+        assert_ne!(
+            second, first,
+            "the busy worker is not handed a second solve"
+        );
+        go.send(()).unwrap();
+        assert_eq!(busy.recv().unwrap(), first);
+        // Most recently idle first: `first`, which then panics.
+        assert!(pool
+            .submit(|| panic!("injected solve panic"))
+            .recv()
+            .is_err());
+        assert_eq!(pool.submit(me).recv().unwrap(), second);
     }
 
     /// Regression for the Retry-After under-estimate: the mean solve

@@ -22,7 +22,7 @@
 //! is worker 0 and [`BranchConfig::jobs`] − 1 scoped threads join it, so
 //! `jobs = 1` (the default) spawns no thread and searches deterministically.
 //!
-//! Node bounds are NaN-checked on admission ([`checked_bound`]): the node
+//! Node bounds are NaN-checked on admission (`checked_bound`): the node
 //! comparator uses [`f64::total_cmp`], which is a total order even over NaN,
 //! but a NaN bound would still make best-first selection meaningless, so it
 //! is reported as a numerical failure instead of being enqueued.

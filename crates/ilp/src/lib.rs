@@ -70,7 +70,7 @@ mod solution;
 pub use branch::{BranchConfig, CutMode};
 pub use certify::{certify, certify_values, Certificate, CertifyError};
 pub use expr::{LinExpr, Var};
-pub use gomil_budget::{Budget, BudgetChecker, BudgetExceeded};
+pub use gomil_budget::{Budget, BudgetExceeded};
 pub use lp_format::LpParseError;
 pub use model::{Cmp, Model, Sense, VarKind};
 pub use presolve::{PresolveOpts, Presolved, ReductionStats};

@@ -291,7 +291,7 @@ impl Model {
     /// Solves the model with default configuration.
     ///
     /// The returned solution has passed the independent post-solve check in
-    /// [`certify`](crate::certify); see [`Model::solve_with`].
+    /// [`certify`](crate::certify()); see [`Model::solve_with`].
     ///
     /// # Errors
     ///

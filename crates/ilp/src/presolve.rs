@@ -501,7 +501,7 @@ const REDUCE_PASSES: usize = 4;
 /// reduction synthesized (promotion into the generating row required).
 const REDUCE_BOUND_TOL: f64 = 1e-9;
 
-/// Counters from one [`reduce_lp`] call, broken down by rule.
+/// Counters from one `reduce_lp` call, broken down by rule.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReductionStats {
     /// Total rows removed from the LP.

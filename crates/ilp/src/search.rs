@@ -527,12 +527,33 @@ fn lp_stop(e: LpError, bound: f64, counters: &mut SearchCounters) -> NodeResult 
     }
 }
 
+/// Stops the pool when its worker unwinds. A panicking worker never
+/// releases its node, so it stays counted in `active`: without the stop,
+/// the other workers would park forever and the scope could never join.
+/// With it they drain, and the panic propagates to the caller.
+struct StopOnUnwind<'s, 'c, 'm>(&'s Shared<'c, 'm>);
+
+impl Drop for StopOnUnwind<'_, '_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut q = lock(&self.0.q);
+            q.stop = Some(Stop::Numerical("a search worker panicked".into()));
+            self.0.cv.notify_all();
+        }
+    }
+}
+
 fn worker(shared: &Shared<'_, '_>) -> SearchCounters {
+    let _stop_on_unwind = StopOnUnwind(shared);
     let ncols = shared.ctx.std.lp.num_cols;
     let mut lb_buf = vec![0.0; ncols];
     let mut ub_buf = vec![0.0; ncols];
     let mut counters = SearchCounters::default();
     while let Some((node, ordinal)) = shared.acquire(&mut counters) {
+        #[cfg(test)]
+        if shared.ctx.model.name() == tests::PANIC_PROBE {
+            panic!("injected worker panic");
+        }
         let result = shared.process(&node, ordinal, &mut lb_buf, &mut ub_buf, &mut counters);
         shared.release(result);
     }
@@ -571,6 +592,10 @@ pub(crate) fn search(
 mod tests {
     use crate::model::Model;
     use crate::{BranchConfig, Cmp, LinExpr, Sense, SolveError};
+
+    /// A model with this name makes every worker panic on the first node it
+    /// takes; only [`a_worker_panic_unwinds_instead_of_hanging`] uses it.
+    pub(super) const PANIC_PROBE: &str = "search-tests-panic-probe";
 
     fn knapsack() -> Model {
         let mut m = Model::new("knap");
@@ -745,5 +770,32 @@ mod tests {
             SolveError::Limit(msg) => assert!(msg.contains("cancelled"), "{msg}"),
             other => panic!("unexpected: {other}"),
         }
+    }
+
+    #[test]
+    fn a_worker_panic_unwinds_instead_of_hanging() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let mut m = Model::new(PANIC_PROBE);
+        let x = m.add_integer("x", 0.0, 10.0);
+        m.add_constraint("c", 2.0 * x, Cmp::Ge, 5.0);
+        m.set_objective(LinExpr::from(x), Sense::Minimize);
+        let cfg = BranchConfig {
+            jobs: 2,
+            ..BranchConfig::default()
+        };
+        // The worker that takes the root panics while the other parks on
+        // the empty queue. Solve on a spawned thread so that a hang fails
+        // this test instead of blocking the run.
+        let (tx, rx) = mpsc::channel();
+        let solver = std::thread::spawn(move || {
+            let unwound = std::panic::catch_unwind(|| m.solve_with(&cfg)).is_err();
+            tx.send(unwound).ok();
+        });
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(unwound) => assert!(unwound, "the worker panic must reach the caller"),
+            Err(_) => panic!("the pool hung after a worker panic"),
+        }
+        solver.join().expect("the solve's panic was caught");
     }
 }

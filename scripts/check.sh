@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local gate: everything CI would run, in the order that fails fastest.
 #
-#   scripts/check.sh            # fmt + build + tests + clippy
+#   scripts/check.sh            # fmt + build + tests + rustdoc + clippy
 #
 # Works fully offline (the workspace has no network dependencies).
 set -euo pipefail
@@ -36,6 +36,9 @@ scripts/http_smoke.sh
 
 echo "==> mart smoke (gomil mart build + serve --mart: covered solve with zero solver invocations)"
 scripts/mart_smoke.sh
+
+echo "==> rustdoc with warnings denied (broken or ambiguous intra-doc links fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
