@@ -13,6 +13,13 @@
 //!   branch binds with equality at the optimum — no `max` auxiliaries are
 //!   needed since both `d` operands lower-bound the result separately.
 //!
+//! The big-M rows alone relax the prefix cost to almost nothing, so every
+//! interval also carries two *DP floors* that each integer solution meets
+//! by induction on interval length (the selected branch's row binds when
+//! its `t` is 1): `d_{i:j} ≥ ⌈log₂(i − j + 1)⌉`, since every node adds
+//! `D ≥ 1`, and `a_{i:j} ≥ (i − j) + Σ_{l=j..i} 2·b_{l:l}`, since each of
+//! the `i − j` nodes adds `A ≥ 1` and each leaf adds `2·b`.
+//!
 //! The same builder serves two modes: leaf types fixed (to cross-check the
 //! IP against the exact DP) or leaf types as model variables tied to
 //! `V_s[i] − 1` (Eq. 18) for the global optimization, optionally truncated
@@ -143,7 +150,10 @@ pub fn add_prefix_constraints(
         for j in 0..n - len {
             let i = j + len;
             let a_ij = model.add_continuous(format!("a_{i}_{j}"), 0.0, a_max);
-            let d_ij = model.add_continuous(format!("d_{i}_{j}"), 0.0, d_max);
+            // DP floor on delay: a tree on len + 1 leaves is ⌈log₂(len + 1)⌉
+            // deep, and every node adds D = q + 1 ≥ 1 (Eq. 13).
+            let depth = (len + 1).next_power_of_two().trailing_zeros() as f64;
+            let d_ij = model.add_continuous(format!("d_{i}_{j}"), depth, d_max);
             vars.a.insert((i, j), a_ij);
             vars.d.insert((i, j), d_ij);
 
@@ -209,6 +219,17 @@ pub fn add_prefix_constraints(
                     m_d,
                 );
             }
+            // DP floor on area: each of the len internal nodes adds
+            // A = q + b_lo + 1 ≥ 1, and each leaf adds 2·b (Eq. 20). After
+            // the selector rows, the wide joint root LPs pivot less than
+            // with the row first in the interval's block.
+            let leaves: LinExpr = (j..=i).map(|l| leaf_a(&vars, l)).sum();
+            model.add_constraint(
+                format!("a_floor_{i}_{j}"),
+                LinExpr::from(a_ij) - leaves,
+                Cmp::Ge,
+                len as f64,
+            );
             // Eq. (23): exactly one cut point.
             model.add_constraint(format!("t_one_{i}_{j}"), t_sum, Cmp::Eq, 1.0);
             vars.t.insert((i, j), t_list);
@@ -391,6 +412,74 @@ mod tests {
         assert!(vars.a.keys().all(|&(i, j)| i - j < 4));
         // Interval (5, 1) has length 5 > 4: not modelled.
         assert!(!vars.a.contains_key(&(5, 1)));
+    }
+
+    #[test]
+    fn dp_floors_hold_on_every_interval_of_random_leaf_vectors() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(18);
+        for _ in 0..200 {
+            let n = rng.gen_range(1usize..=12);
+            let leaf: Vec<bool> = (0..n).map(|_| rng.gen_range(0..2) == 1).collect();
+            for w in [0.0, 8.0] {
+                let tables = dp_tables(&leaf, w);
+                for i in 0..n {
+                    for j in 0..=i {
+                        let (area, delay) = tables.area_delay(i, j);
+                        let set = leaf[j..=i].iter().filter(|&&b| b).count();
+                        let depth = (i - j + 1).next_power_of_two().trailing_zeros() as f64;
+                        assert!(
+                            area >= (i - j + 2 * set) as f64,
+                            "{leaf:?} w={w} [{i}:{j}]: area {area}"
+                        );
+                        assert!(delay >= depth, "{leaf:?} w={w} [{i}:{j}]: delay {delay}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn joint_model_seeds_are_accepted_at_every_small_width() {
+        use crate::{build_joint_model, GomilConfig, PpgKind, WarmStartStatus};
+        use gomil_netlist::Netlist;
+        let cfg = GomilConfig::default();
+        let mut models = 0;
+        for ppg in PpgKind::all() {
+            for m in 2..=8 {
+                if (ppg == PpgKind::Booth4 && m % 2 == 1) || (ppg == PpgKind::Booth8 && m < 3) {
+                    continue;
+                }
+                let mut nl = Netlist::new("ppg");
+                let a = nl.add_input("a", m);
+                let b = nl.add_input("b", m);
+                let v0 = crate::flow::build_ppg(&mut nl, ppg, &a, &b).heights();
+                let Ok(jm) = build_joint_model(&v0, &cfg, None) else {
+                    continue; // no leftmost-free reduction: no joint model
+                };
+                models += 1;
+                assert!(!jm.seeds.is_empty(), "({m}, {ppg:?}) has no seed");
+                for seed in jm.seeds {
+                    // A dead budget skips the root LP; validation still runs.
+                    let branch = gomil_ilp::BranchConfig {
+                        time_limit: Some(Duration::ZERO),
+                        initial: Some(seed),
+                        ..Default::default()
+                    };
+                    let sol = jm
+                        .model
+                        .solve_with(&branch)
+                        .expect("the seed is an incumbent");
+                    assert_eq!(
+                        *sol.warm_start(),
+                        WarmStartStatus::Accepted,
+                        "({m}, {ppg:?})"
+                    );
+                }
+            }
+        }
+        // 19 of the 24 (m, PPG) pairs have a leftmost-free reduction.
+        assert_eq!(models, 19, "joint models built");
     }
 
     #[test]

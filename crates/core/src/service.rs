@@ -24,7 +24,7 @@ use std::io;
 /// knobs (pricing, cuts, budgets) do not warrant a bump, for the same
 /// reason they are excluded from the solve fingerprint: they never change
 /// the certified optimum.
-pub const SOLVER_VERSION: u32 = 1;
+pub const SOLVER_VERSION: u32 = 2;
 
 /// Flattens a finished design into the service's cacheable record.
 ///

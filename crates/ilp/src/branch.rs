@@ -467,6 +467,11 @@ pub(crate) struct SearchCtx<'a> {
     /// node is a near-free dual warm restart instead of a from-scratch
     /// solve.
     pub(crate) root_basis: Option<Arc<Basis>>,
+    /// Minimize-space bound of the last optimal root LP (cuts included),
+    /// or −∞ when the root stage ended without one. The search seeds its
+    /// root node with it, so a solve stopped before node 0 still reports
+    /// a finite bound.
+    pub(crate) root_bound: f64,
     /// Per-phase breakdown of the work done in [`prepare`].
     pub(crate) root_profile: RootProfile,
     /// LP work of the root stage, interrupted solves included (the search
@@ -602,6 +607,7 @@ pub(crate) fn prepare<'a>(
     // Solve the root LP once, run the cut loop on it, and hand the final
     // basis to the search so its root node is a near-free warm restart.
     let mut root_work = LpWork::default();
+    let mut root_lp_obj = f64::NEG_INFINITY;
     let root_basis = root_stage(
         &mut std,
         &lp_opts,
@@ -609,7 +615,9 @@ pub(crate) fn prepare<'a>(
         config.reduce,
         &mut profile,
         &mut root_work,
+        &mut root_lp_obj,
     )?;
+    let root_bound = checked_bound(root_lp_obj + obj_offset)?;
 
     let ctx = SearchCtx {
         model,
@@ -622,6 +630,7 @@ pub(crate) fn prepare<'a>(
         obj_offset,
         start,
         root_basis,
+        root_bound,
         root_profile: profile,
         root_work,
     };
@@ -726,7 +735,9 @@ const MAX_CUTS_PER_ROUND: usize = 16;
 /// own slack column), and reoptimize with the dual simplex from the
 /// extended basis. Mutates `std.lp` — the search then explores the
 /// cut-augmented LP — and returns the final root basis. Every LP solve's
-/// work, interrupted ones included, is added to `work`.
+/// work, interrupted ones included, is added to `work`, and the objective
+/// of the last optimal LP is stored in `bound` (left alone when there is
+/// none).
 ///
 /// Root conditions the search already handles (budget exhausted,
 /// infeasible or unbounded relaxation) return `Ok(None)` so the node loop
@@ -739,9 +750,10 @@ fn root_stage(
     reduce: bool,
     profile: &mut RootProfile,
     work: &mut LpWork,
+    bound: &mut f64,
 ) -> Result<Option<Arc<Basis>>, SolveError> {
     let t0 = Instant::now();
-    let result = root_stage_inner(std, lp_opts, cuts, reduce, profile, work);
+    let result = root_stage_inner(std, lp_opts, cuts, reduce, profile, work, bound);
     profile.root_lp_us = (t0.elapsed().as_micros() as u64).saturating_sub(profile.cut_us);
     profile.root_lp_iters = work.iterations;
     result
@@ -754,6 +766,7 @@ fn root_stage_inner(
     reduce: bool,
     profile: &mut RootProfile,
     work: &mut LpWork,
+    bound: &mut f64,
 ) -> Result<Option<Arc<Basis>>, SolveError> {
     let mut red_stats = ReductionStats::default();
     let res = match solve_lp_reduced(
@@ -780,6 +793,7 @@ fn root_stage_inner(
         // Infeasible / unbounded root: let the search rediscover it.
         _ => return Ok(None),
     };
+    *bound = obj;
     let mut basis = match res.basis {
         Some(b) => b,
         None => return Ok(None),
@@ -832,8 +846,11 @@ fn root_stage_inner(
         // Reoptimize from the extended basis (dual simplex), falling back
         // to a from-scratch solve when the restart goes stale.
         let resolved = match resolve_lp(&std.lp, &std.lp.lb, &std.lp.ub, &basis, lp_opts) {
-            Ok(Some(r)) => Ok(r),
-            Ok(None) => solve_lp_reduced(&std.lp, &std.lp.lb, &std.lp.ub, lp_opts, reduce, None),
+            Ok(Ok(r)) => Ok(r),
+            Ok(Err(spent)) => {
+                work.absorb(&spent);
+                solve_lp_reduced(&std.lp, &std.lp.lb, &std.lp.ub, lp_opts, reduce, None)
+            }
             Err(e) => Err(e),
         };
         let resolved = match resolved {
@@ -852,6 +869,7 @@ fn root_stage_inner(
             // augmented LP back basis-less and let the search report it.
             LpOutcome::Infeasible | LpOutcome::Unbounded => return Ok(None),
         };
+        *bound = nobj;
         let Some(nb) = resolved.basis else { break };
         // Minimize space: cuts can only raise the root bound. Stop after
         // two rounds without measurable progress.
@@ -1305,6 +1323,28 @@ mod tests {
         assert_eq!(s.lp_iterations(), s.root_profile().root_lp_iters);
         assert!(s.lp_refactors() >= 1, "root refactorizations are lost");
         assert!(s.lp_ftran() > 0 && s.lp_btran() > 0);
+    }
+
+    #[test]
+    fn a_solve_stopped_before_node_zero_reports_the_root_lp_bound() {
+        // The root LP is solved before the node loop, so even a search
+        // that explores no node has a finite bound: the one node 0 hands
+        // its children.
+        let (m, warm) = knapsack_with_warm_start(40);
+        let solve = |node_limit| {
+            let cfg = BranchConfig {
+                node_limit,
+                initial: Some(warm.clone()),
+                ..BranchConfig::default()
+            };
+            m.solve_with(&cfg).unwrap()
+        };
+        let (stopped, one) = (solve(0), solve(1));
+        assert_eq!((stopped.nodes(), one.nodes()), (0, 1));
+        let (b0, b1) = (stopped.best_bound(), one.best_bound());
+        assert!(b0.is_finite() && stopped.gap().is_finite(), "bound {b0}");
+        assert!((b0 - b1).abs() <= 1e-9 * b1.abs(), "{b0} vs {b1}");
+        assert!(b0 > stopped.objective(), "a maximization bound lies above");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Primal heuristics for branch and bound.
 
-use crate::simplex::{solve_lp_from, LpOutcome, LpProblem, SimplexOpts, FEAS_TOL};
+use crate::simplex::{solve_lp_from, LpError, LpOutcome, LpProblem, LpWork, SimplexOpts, FEAS_TOL};
 
 /// Round-and-repair heuristic.
 ///
@@ -8,9 +8,10 @@ use crate::simplex::{solve_lp_from, LpOutcome, LpProblem, SimplexOpts, FEAS_TOL}
 /// node bounds `lb`/`ub`), fixes those columns, and re-solves the LP over
 /// the remaining continuous columns so that derived variables (e.g. big-M
 /// linearization outputs) become consistent again. Returns the repaired
-/// structural assignment if the fixed LP is feasible. A budget failure
-/// inside the repair LP simply drops the heuristic result; the caller's
-/// main loop notices the exhausted budget on its next check.
+/// structural assignment if the fixed LP is feasible, and the repair LP's
+/// work either way. A budget failure inside the repair LP simply drops the
+/// heuristic result; the caller's main loop notices the exhausted budget
+/// on its next check.
 pub(crate) fn round_and_repair(
     lp: &LpProblem,
     lb: &[f64],
@@ -18,7 +19,7 @@ pub(crate) fn round_and_repair(
     col_is_int: &[bool],
     x: &[f64],
     opts: &SimplexOpts,
-) -> Option<Vec<f64>> {
+) -> (Option<Vec<f64>>, LpWork) {
     let mut flb = lb.to_vec();
     let mut fub = ub.to_vec();
     let mut any_frac = false;
@@ -33,14 +34,15 @@ pub(crate) fn round_and_repair(
         }
     }
     if !any_frac {
-        return Some(x[..lp.num_structural].to_vec());
+        return (Some(x[..lp.num_structural].to_vec()), LpWork::default());
     }
     match solve_lp_from(lp, &flb, &fub, opts) {
         Ok(res) => match res.outcome {
-            LpOutcome::Optimal { x, .. } => Some(x),
-            _ => None,
+            LpOutcome::Optimal { x, .. } => (Some(x), res.work),
+            _ => (None, res.work),
         },
-        _ => None,
+        Err(LpError::Budget { work, .. }) => (None, work),
+        Err(LpError::Numerical(_)) => (None, LpWork::default()),
     }
 }
 
@@ -48,7 +50,7 @@ pub(crate) fn round_and_repair(
 mod tests {
     use super::*;
 
-    fn repair(lp: &LpProblem, col_is_int: &[bool], x: &[f64]) -> Option<Vec<f64>> {
+    fn repair(lp: &LpProblem, col_is_int: &[bool], x: &[f64]) -> (Option<Vec<f64>>, LpWork) {
         round_and_repair(
             lp,
             &lp.lb,
@@ -72,9 +74,13 @@ mod tests {
             vec![vec![(0, -2.0), (1, 1.0), (2, 1.0)]],
             vec![0.0],
         );
-        let out = repair(&lp, &[true, false], &[0.6, 1.2]).unwrap();
+        let (out, work) = repair(&lp, &[true, false], &[0.6, 1.2]);
+        let out = out.unwrap();
         assert_eq!(out[0], 1.0);
         assert!((out[1] - 2.0).abs() < 1e-6);
+        // The repair LP pivots y into the basis; its work is reported.
+        assert!(work.iterations > 0, "repair LP work lost: {work:?}");
+        assert!(work.refactors > 0, "repair LP work lost: {work:?}");
     }
 
     #[test]
@@ -88,6 +94,6 @@ mod tests {
             vec![vec![(0, 1.0), (1, 1.0)]],
             vec![0.4],
         );
-        assert!(repair(&lp, &[true], &[0.6]).is_none());
+        assert!(repair(&lp, &[true], &[0.6]).0.is_none());
     }
 }

@@ -1142,7 +1142,7 @@ mod tests {
                         bases_lifted += 1;
                         let warm = resolve_lp(&p, &lb, &ub, &basis, &opts)
                             .expect("warm restart from postsolved basis");
-                        if let Some(warm) = warm {
+                        if let Ok(warm) = warm {
                             match warm.outcome {
                                 LpOutcome::Optimal { obj: wo, .. } => assert!(
                                     (wo - obj).abs() <= 1e-6 * obj.abs().max(1.0),

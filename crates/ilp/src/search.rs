@@ -181,13 +181,13 @@ impl<'c, 'm> Shared<'c, 'm> {
     fn new(ctx: &'c SearchCtx<'m>) -> Self {
         let mut heap = BinaryHeap::new();
         heap.push(Node {
-            bound: f64::NEG_INFINITY,
+            bound: ctx.root_bound,
             depth: 0,
             path: None,
             branch: None,
-            // The root LP was already solved (and cut) in `prepare`;
-            // restarting from its basis makes the first node a handful of
-            // dual pivots.
+            // The root LP was already solved (and cut) in `prepare`: its
+            // bound is the root's, and restarting from its basis makes the
+            // first node a handful of dual pivots.
             basis: ctx.root_basis.clone(),
         });
         Shared {
@@ -406,11 +406,13 @@ impl<'c, 'm> Shared<'c, 'm> {
             if let Some(basis) = node.basis.as_deref() {
                 counters.warm_attempts += 1;
                 match resolve_lp(&std.lp, lb_buf, ub_buf, basis, &ctx.lp_opts) {
-                    Ok(Some(r)) => {
+                    Ok(Ok(r)) => {
                         counters.warm_hits += 1;
                         res = Some(r);
                     }
-                    Ok(None) => {} // stale basis: primal fallback below
+                    // Stale basis: count what the attempt spent, then fall
+                    // back to the primal below.
+                    Ok(Err(spent)) => counters.lp.absorb(&spent),
                     Err(e) => return lp_stop(e, node.bound, counters),
                 }
             }
@@ -471,14 +473,16 @@ impl<'c, 'm> Shared<'c, 'm> {
                 // Heuristic: round and repair every `heuristic_period`
                 // nodes of the search (approximate under concurrency).
                 if config.heuristic_period > 0 && ordinal % config.heuristic_period == 1 {
-                    if let Some(vals) = crate::heur::round_and_repair(
+                    let (repaired, spent) = crate::heur::round_and_repair(
                         &std.lp,
                         lb_buf,
                         ub_buf,
                         &std.col_is_int,
                         &x,
                         &ctx.lp_opts,
-                    ) {
+                    );
+                    counters.lp.absorb(&spent);
+                    if let Some(vals) = repaired {
                         let full = expand(std, &vals);
                         if ctx.model.is_feasible(&full, FEAS_TOL * 10.0) {
                             self.offer(full, IncumbentSource::Heuristic);

@@ -30,7 +30,9 @@
 //! 2. Put all structural variables at a finite bound, slacks basic. Rows
 //!    whose slack value violates the slack bounds get an artificial column;
 //!    phase 1 minimizes the sum of artificials.
-//! 3. Phase 2 minimizes the true cost with artificials pinned to zero.
+//! 3. Artificials still basic (at zero) after phase 1 are pivoted out
+//!    with degenerate pivots, so the final basis can seed warm restarts.
+//!    Phase 2 minimizes the true cost with artificials pinned to zero.
 //! 4. Entering-variable choice is Dantzig pricing (one BTRAN plus one pass
 //!    over the sparse columns per iteration) with an automatic switch to
 //!    Bland's rule after a run of degenerate pivots (anti-cycling). The
@@ -40,8 +42,9 @@
 //! the *new* bounds, verify the reduced costs are still dual feasible, then
 //! drive out primal bound violations with dual ratio-test pivots. Any
 //! staleness — singular basis, dual infeasibility, iteration trouble —
-//! makes `resolve_lp` return `Ok(None)` so the caller falls back to the
-//! two-phase primal (whose Bland retry path is unchanged).
+//! makes `resolve_lp` report a miss (with the work it spent) so the caller
+//! falls back to the two-phase primal (whose Bland retry path is
+//! unchanged).
 
 use gomil_budget::{Budget, BudgetExceeded};
 use std::time::Instant;
@@ -468,6 +471,10 @@ pub(crate) struct LpResult {
     pub basis: Option<Basis>,
 }
 
+/// A warm restart's result ([`resolve_lp`]): the reoptimized LP, or, when
+/// the cached basis was stale, the work spent finding that out.
+pub(crate) type Restart = Result<LpResult, LpWork>;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ColStatus {
     Basic,
@@ -640,6 +647,20 @@ impl Sweep {
             self.idx.push(c as u32);
         }
         self.acc[c] += v;
+    }
+
+    /// Resets, then scatters `α = ρᵀ·A` over the `rows` in ρ's pattern.
+    /// Artificial columns are not in `rows`; callers read theirs off ρ.
+    fn scatter_rows(&mut self, rows: &[Vec<(u32, f64)>], rho: &WorkVec) {
+        self.clear();
+        for i in rho.pattern() {
+            let rv = rho.vals[i];
+            if rv != 0.0 {
+                for &(c, a) in &rows[i] {
+                    self.add(c as usize, a * rv);
+                }
+            }
+        }
     }
 }
 
@@ -1332,15 +1353,7 @@ impl Core<'_> {
             // Row sweep: scatter ρ_i·row_i for only the rows with ρ ≠ 0,
             // then update the touched nonbasic columns. Artificial columns
             // are not in `p.rows`; their α is read off ρ directly.
-            sweep.clear();
-            for i in rho.pattern() {
-                let rv = rho.vals[i];
-                if rv != 0.0 {
-                    for &(c, a) in &self.p.rows[i] {
-                        sweep.add(c as usize, a * rv);
-                    }
-                }
-            }
+            sweep.scatter_rows(&self.p.rows, rho);
             for k in 0..sweep.idx.len() {
                 let j = sweep.idx[k] as usize;
                 if self.status[j] == ColStatus::Basic || j == q || self.lb[j] == self.ub[j] {
@@ -1446,15 +1459,7 @@ impl Core<'_> {
             self.btran_sparse(&mut rho);
             alphas.clear();
             if !rho.dense && self.art_row.is_empty() {
-                sweep.clear();
-                for i in rho.pattern() {
-                    let rv = rho.vals[i];
-                    if rv != 0.0 {
-                        for &(c, a) in &self.p.rows[i] {
-                            sweep.add(c as usize, a * rv);
-                        }
-                    }
-                }
+                sweep.scatter_rows(&self.p.rows, &rho);
                 for &c in &sweep.idx {
                     let j = c as usize;
                     if self.status[j] == ColStatus::Basic || self.lb[j] == self.ub[j] {
@@ -1652,6 +1657,76 @@ impl Core<'_> {
                 self.recompute_reduced(d, &mut y);
             }
         }
+    }
+
+    /// The textbook end of phase 1: pivots every artificial still basic
+    /// (at zero) out of the basis with a degenerate pivot, so that the
+    /// final basis can seed warm restarts. The entering column has the
+    /// largest `|α_j|` in the artificial's row of `B⁻¹A` (a column that
+    /// is not fixed preferred), found by the same row sweep over
+    /// `ρ = B⁻ᵀ·e_r` that `dual` prices with. An artificial whose row has
+    /// no usable `α` sits on a redundant row and stays basic.
+    fn drive_out_artificials(&mut self, opts: &SimplexOpts) -> Result<(), SimplexStop> {
+        let n0 = self.p.num_cols;
+        let mut tried = vec![false; self.n - n0];
+        let mut rho = WorkVec::new(self.m);
+        let mut w = WorkVec::new(self.m);
+        let mut sweep = Sweep::new(n0);
+        // A re-inversion may move an untried artificial to a row already
+        // scanned, so scan again until a pass finds none.
+        let mut rescan = true;
+        while rescan {
+            rescan = false;
+            for r in 0..self.m {
+                let art = self.basis[r] as usize;
+                if art < n0 || tried[art - n0] {
+                    continue;
+                }
+                tried[art - n0] = true;
+                self.check_limits(opts)?;
+                rho.clear();
+                rho.add(r, 1.0);
+                self.btran_sparse(&mut rho);
+                // (not fixed, |α|, column) of the best candidate so far.
+                let mut best: Option<(bool, f64, usize)> = None;
+                let mut offer = |this: &Core<'_>, j: usize, a: f64| {
+                    if this.status[j] == ColStatus::Basic || a.abs() <= PIVOT_TOL {
+                        return;
+                    }
+                    let cand = (this.lb[j] != this.ub[j], a.abs(), j);
+                    if best.is_none_or(|(free, mag, _)| (cand.0, cand.1) > (free, mag)) {
+                        best = Some(cand);
+                    }
+                };
+                if rho.dense {
+                    for j in 0..n0 {
+                        offer(self, j, self.col_dot(j, &rho.vals));
+                    }
+                } else {
+                    sweep.scatter_rows(&self.p.rows, &rho);
+                    for &c in &sweep.idx {
+                        offer(self, c as usize, sweep.acc[c as usize]);
+                    }
+                }
+                let Some((_, _, q)) = best else { continue };
+                w.clear();
+                self.for_col(q, |i, a| w.add(i, a));
+                self.ftran_sparse(&mut w);
+                if w.vals[r].abs() <= PIVOT_TOL {
+                    continue;
+                }
+                self.work.iterations += 1;
+                self.val[art] = 0.0;
+                self.status[art] = ColStatus::AtLower;
+                self.status[q] = ColStatus::Basic;
+                self.push_eta(r, &w);
+                self.basis[r] = q as u32;
+                let refactors = self.work.refactors;
+                self.maybe_refactor()?;
+                rescan |= self.work.refactors > refactors;
+            }
+        }
+        Ok(())
     }
 
     /// The final basis, if it can seed a future warm restart (no
@@ -1920,6 +1995,9 @@ pub(crate) fn solve_lp_from(
             }
             core.val[j] = 0.0; // basic at zero: harmless (degenerate)
         }
+        if let Err(stop) = core.drive_out_artificials(opts) {
+            return Err(map_stop(stop, &core, 1));
+        }
         // Swap in the true costs for phase 2.
         core.costs[..n].copy_from_slice(&p.costs);
         for c in core.costs.iter_mut().skip(n) {
@@ -1942,12 +2020,13 @@ pub(crate) fn solve_lp_from(
 ///
 /// Returns:
 ///
-/// * `Ok(Some(result))` — the restart succeeded (optimal or proven
+/// * `Ok(Ok(result))` — the restart succeeded (optimal or proven
 ///   infeasible, the latter being the fast node-pruning path: a dual
 ///   unbounded ray is a primal infeasibility certificate);
-/// * `Ok(None)` — the basis is stale (fails validation, singular under
-///   re-inversion, dual infeasible under the new bounds, or the dual run
-///   hit numerical/iteration trouble). The caller must fall back to the
+/// * `Ok(Err(work))` — the basis is stale (fails validation, singular
+///   under re-inversion, dual infeasible under the new bounds, or the dual
+///   run hit numerical/iteration trouble). `work` is what the attempt
+///   spent before giving up. The caller must fall back to the
 ///   from-scratch primal [`solve_lp_from`];
 /// * `Err(LpError::Budget {..})` — the shared wall-clock budget fired;
 ///   iterations spent so far are in the payload.
@@ -1957,19 +2036,19 @@ pub(crate) fn resolve_lp(
     ub: &[f64],
     basis: &Basis,
     opts: &SimplexOpts,
-) -> Result<Option<LpResult>, LpError> {
+) -> Result<Restart, LpError> {
     let m = p.rows.len();
     let n = p.num_cols;
     // Shape validation: the basis must cover every row with a distinct
     // in-range column, and statuses must agree with the basic set.
     if m == 0 || basis.cols.len() != m || basis.status.len() != n {
-        return Ok(None);
+        return Ok(Err(LpWork::default()));
     }
     let mut seen = vec![false; n];
     for &c in &basis.cols {
         let c = c as usize;
         if c >= n || seen[c] || basis.status[c] != ColStatus::Basic {
-            return Ok(None);
+            return Ok(Err(LpWork::default()));
         }
         seen[c] = true;
     }
@@ -1980,7 +2059,7 @@ pub(crate) fn resolve_lp(
         .count()
         != m
     {
-        return Ok(None);
+        return Ok(Err(LpWork::default()));
     }
 
     // Nonbasic columns snap to their (new) bound per recorded status; the
@@ -2000,7 +2079,7 @@ pub(crate) fn resolve_lp(
                 if ub[j].is_finite() {
                     ub[j]
                 } else {
-                    return Ok(None); // nonsense status for an unbounded column
+                    return Ok(Err(LpWork::default())); // nonsense status for an unbounded column
                 }
             }
         };
@@ -2029,7 +2108,7 @@ pub(crate) fn resolve_lp(
         fire_queued: vec![false; m],
     };
     if core.refactorize().is_err() {
-        return Ok(None); // singular cached basis
+        return Ok(Err(core.work)); // singular cached basis
     }
     core.compute_basics();
 
@@ -2050,27 +2129,29 @@ pub(crate) fn resolve_lp(
             ColStatus::AtUpper => dj > dual_tol,
         };
         if bad {
-            return Ok(None);
+            return Ok(Err(core.work));
         }
     }
 
     match core.dual(&mut d, opts) {
         Ok(DualEnd::PrimalFeasible) => {}
-        Ok(DualEnd::Infeasible) => return Ok(Some(core.ended(LpOutcome::Infeasible))),
+        Ok(DualEnd::Infeasible) => return Ok(Ok(core.ended(LpOutcome::Infeasible))),
         Err(SimplexStop::Budget(reason)) => return Err(core.budget_error(reason)),
         // Iteration cap or numerical breakdown inside the dual run: report
         // a miss; the fallback primal has its own (full) iteration budget.
-        Err(SimplexStop::IterationLimit) | Err(SimplexStop::Singular(_)) => return Ok(None),
-        Err(SimplexStop::Unbounded) => return Ok(None), // cannot happen in dual
+        Err(SimplexStop::IterationLimit) | Err(SimplexStop::Singular(_)) => {
+            return Ok(Err(core.work))
+        }
+        Err(SimplexStop::Unbounded) => return Ok(Err(core.work)), // cannot happen in dual
     }
 
     // Cleanup: the dual run ends primal feasible and (up to drift) dual
     // feasible; a primal pass certifies optimality, usually in 0 pivots.
     match core.primal(opts) {
-        Ok(()) => Ok(Some(core.optimal_result())),
-        Err(SimplexStop::Unbounded) => Ok(Some(core.ended(LpOutcome::Unbounded))),
+        Ok(()) => Ok(Ok(core.optimal_result())),
+        Err(SimplexStop::Unbounded) => Ok(Ok(core.ended(LpOutcome::Unbounded))),
         Err(SimplexStop::Budget(reason)) => Err(core.budget_error(reason)),
-        Err(SimplexStop::IterationLimit) | Err(SimplexStop::Singular(_)) => Ok(None),
+        Err(SimplexStop::IterationLimit) | Err(SimplexStop::Singular(_)) => Ok(Err(core.work)),
     }
 }
 
@@ -2786,7 +2867,7 @@ mod tests {
         let scratch = solve_lp_from(p, &lb, &ub, &topts()).expect("scratch solve");
         let restart = resolve_lp(p, &lb, &ub, &basis, &topts()).expect("restart solve");
         match (restart, &scratch.outcome) {
-            (Some(res), LpOutcome::Optimal { obj: want, .. }) => match res.outcome {
+            (Ok(res), LpOutcome::Optimal { obj: want, .. }) => match res.outcome {
                 LpOutcome::Optimal { obj, .. } => {
                     assert!(
                         (obj - want).abs() < FEAS_TOL,
@@ -2796,17 +2877,17 @@ mod tests {
                 }
                 other => panic!("restart disagreed with scratch Optimal: {other:?}"),
             },
-            (Some(res), LpOutcome::Infeasible) => {
+            (Ok(res), LpOutcome::Infeasible) => {
                 assert!(
                     matches!(res.outcome, LpOutcome::Infeasible),
                     "restart must agree the tightened LP is infeasible"
                 );
             }
-            (None, _) => {
+            (Err(_), _) => {
                 // A fallback is always *allowed* (stale basis); correctness
                 // is then the primal path's job, which `scratch` just took.
             }
-            (Some(res), other) => panic!("scratch {other:?} vs restart {:?}", res.outcome),
+            (Ok(res), other) => panic!("scratch {other:?} vs restart {:?}", res.outcome),
         }
     }
 
@@ -2853,8 +2934,8 @@ mod tests {
         ub[1] = 4.0;
         let restart = resolve_lp(&p, &lb, &ub, &basis, &topts()).unwrap();
         match restart {
-            Some(res) => assert!(matches!(res.outcome, LpOutcome::Infeasible)),
-            None => panic!("dual restart should prove infeasibility, not fall back"),
+            Ok(res) => assert!(matches!(res.outcome, LpOutcome::Infeasible)),
+            Err(_) => panic!("dual restart should prove infeasibility, not fall back"),
         }
     }
 
@@ -2898,7 +2979,7 @@ mod tests {
     #[test]
     fn poisoned_basis_forces_primal_fallback() {
         // Satellite: a corrupted cached basis must be reported as a miss
-        // (`Ok(None)`), and the primal path must still recover the optimum.
+        // (`Ok(Err(work))`), and the primal path must still recover the optimum.
         // Two rows so the poisoning (duplicating one basic column into
         // every slot) genuinely corrupts the basis.
         let p = lp(
@@ -2912,13 +2993,70 @@ mod tests {
         let ub = p.ub.clone();
         lb[0] = 1.0;
         let restart = resolve_lp(&p, &lb, &ub, &basis, &topts()).unwrap();
-        assert!(restart.is_none(), "poisoned basis must miss, not solve");
+        assert!(restart.is_err(), "poisoned basis must miss, not solve");
         // The fallback path (exactly what branch.rs runs on a miss):
         // maximize 3x+2y with x ∈ [1,4], y ∈ [0,4], x+y ≤ 5 → (4,1), −14.
         let fallback = solve_lp_from(&p, &lb, &ub, &topts()).unwrap();
         match fallback.outcome {
             LpOutcome::Optimal { obj, .. } => assert!((obj + 14.0).abs() < 1e-6, "obj={obj}"),
             other => panic!("fallback failed: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_singular_restart_basis_reports_its_refactorization() {
+        // A poisoned yet well-formed basis: x and y have the same column,
+        // so the re-inversion runs and finds the basis singular. The miss
+        // must carry that re-inversion.
+        let p = lp(
+            vec![-3.0, -2.0],
+            vec![(0.0, 4.0), (0.0, 4.0)],
+            vec![(vec![1.0, 1.0], -1, 5.0), (vec![1.0, 1.0], -1, 6.0)],
+        );
+        let basis = Basis {
+            cols: vec![0, 1],
+            status: vec![
+                ColStatus::Basic,
+                ColStatus::Basic,
+                ColStatus::AtLower,
+                ColStatus::AtLower,
+            ],
+        };
+        match resolve_lp(&p, &p.lb, &p.ub, &basis, &topts()).unwrap() {
+            Err(work) => assert_eq!(work.refactors, 1, "the miss lost its work: {work:?}"),
+            Ok(res) => panic!("a singular basis must miss, got {:?}", res.outcome),
+        }
+    }
+
+    #[test]
+    fn phase_one_drives_artificials_out_of_a_redundant_row() {
+        // x + y = 1 written twice, both slacks fixed at 0: phase 1 ends
+        // with an artificial basic at zero on one row. Only a degenerate
+        // pivot (a fixed slack enters) leaves a basis to restart from.
+        let p = lp(
+            vec![1.0, 2.0],
+            vec![(0.0, 1.0), (0.0, 1.0)],
+            vec![(vec![1.0, 1.0], 0, 1.0), (vec![1.0, 1.0], 0, 1.0)],
+        );
+        let first = solve_lp(&p, &topts()).unwrap();
+        match first.outcome {
+            LpOutcome::Optimal { obj, .. } => assert!((obj - 1.0).abs() < 1e-9, "obj={obj}"),
+            ref other => panic!("base solve: {other:?}"),
+        }
+        let basis = first.basis.expect("no artificial may stay basic");
+        // Tighten x ≤ 0.25: y = 0.75 and the cost is 1.75.
+        let mut ub = p.ub.clone();
+        ub[0] = 0.25;
+        let restart = resolve_lp(&p, &p.lb, &ub, &basis, &topts())
+            .unwrap()
+            .expect("the driven-out basis warm-restarts");
+        let scratch = solve_lp_from(&p, &p.lb, &ub, &topts()).unwrap();
+        match (restart.outcome, scratch.outcome) {
+            (LpOutcome::Optimal { obj: a, .. }, LpOutcome::Optimal { obj: b, .. }) => {
+                assert!((a - b).abs() < 1e-9, "restart {a} vs scratch {b}");
+                assert!((a - 1.75).abs() < 1e-9, "restart {a}");
+            }
+            (a, b) => panic!("restart {a:?} vs scratch {b:?}"),
         }
     }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local gate: everything CI would run, in the order that fails fastest.
 #
-#   scripts/check.sh            # fmt + build + tests + rustdoc + clippy
+#   scripts/check.sh            # fmt + build + tests + traced gen-ilp pass + rustdoc + clippy
 #
 # Works fully offline (the workspace has no network dependencies).
 set -euo pipefail
@@ -24,6 +24,10 @@ cargo test -q --release --test solver_parallel
 
 echo "==> benchmark harness tests (e2ebench builds against the crates' public API)"
 cargo test -q --offline --locked --manifest-path e2ebench/Cargo.toml
+
+echo "==> traced gen-ilp pass (e2ebench: proved 60/33/70, equivalence, one design per key, replay fidelity)"
+CARGO_TARGET_DIR=target python3 e2ebench/run.py --workload gen-ilp --seed 1 --seconds 1 --trace 1 |
+    tail -n 1 | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)'
 
 echo "==> solver smoke gates (release: basis-reuse pivots > 3x, devex root-LP iters > 1.2x Dantzig, or a cut-changed certified objective fails)"
 cargo run -q --release -p gomil-bench --bin solver_scaling -- --quick

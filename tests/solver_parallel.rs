@@ -243,11 +243,13 @@ fn nan_objective_is_rejected_at_every_job_count() {
 /// `jobs = 1` is deterministic: the joint Eq. 27 model of each 3-bit key
 /// explores the same tree on every run, so its search counters are
 /// pinned exactly. Any change to node order, pruning, branching,
-/// heuristic cadence or warm-restart bookkeeping shows up here.
+/// heuristic cadence, warm-restart bookkeeping or the prefix IP's DP
+/// floors shows up here. Every node warm-restarts from its parent's
+/// basis: phase 1 drives its artificials out, so no restart misses.
 #[test]
 fn joint_ilp_at_one_job_explores_a_pinned_tree() {
     use gomil::{joint_ilp, PpgKind};
-    use gomil_arith::{and_ppg, booth8_ppg};
+    use gomil_arith::{and_ppg, baugh_wooley_ppg, booth8_ppg};
     use gomil_netlist::Netlist;
 
     let cfg = GomilConfig::with_budget(Duration::from_secs(86_400));
@@ -257,6 +259,7 @@ fn joint_ilp_at_one_job_explores_a_pinned_tree() {
         let b = nl.add_input("b", 3);
         match ppg {
             PpgKind::Booth8 => booth8_ppg(&mut nl, &a, &b),
+            PpgKind::BaughWooley => baugh_wooley_ppg(&mut nl, &a, &b),
             _ => and_ppg(&mut nl, &a, &b),
         }
         .heights()
@@ -264,16 +267,17 @@ fn joint_ilp_at_one_job_explores_a_pinned_tree() {
     // (PPG, objective, nodes, pruned, branched, LP iterations, warm
     // attempts, warm hits).
     let pinned = [
-        (PpgKind::And, 60.0, 154, 90, 91, 1_956, 154, 154),
+        (PpgKind::And, 60.0, 93, 59, 59, 1_074, 93, 93),
+        (PpgKind::Booth8, 33.0, 51, 26, 25, 551, 51, 51),
         (
-            PpgKind::Booth8,
-            33.0,
-            4_481,
-            2_241,
-            2_240,
-            33_419,
-            4_188,
-            4_188,
+            PpgKind::BaughWooley,
+            70.0,
+            3_889,
+            1_960,
+            1_960,
+            41_510,
+            3_889,
+            3_889,
         ),
     ];
     for (ppg, objective, nodes, pruned, branched, iters, attempts, hits) in pinned {
@@ -293,5 +297,6 @@ fn joint_ilp_at_one_job_explores_a_pinned_tree() {
             (attempts, hits),
             "{ppg:?}: warm attempts, warm hits"
         );
+        assert_eq!(s.lp_warm_hits, s.nodes, "{ppg:?}: every node restarts warm");
     }
 }
