@@ -21,7 +21,7 @@
 //! gomil serve --listen ADDR [--http-inflight N] [--http-queue N]
 //!             [--drain-ms N] [--deadline-ms N] [serve flags as above]
 //!                                                      HTTP solve service (gomil-httpd)
-//! gomil mart build [--out FILE] [--ms m,m,…] [--refresh] [solver flags]
+//! gomil mart build [--out FILE] [--ms m,m,…] [--refresh] [--jobs N] [solver flags]
 //!                                                      precompute the design mart
 //! gomil mart stats <FILE>                              mart summary
 //! gomil mart verify <FILE>                             mart integrity audit
@@ -93,7 +93,7 @@ fn main() -> ExitCode {
 type CliResult = Result<(), Box<dyn std::error::Error>>;
 
 /// The value-taking flags [`cfg_from_args`] reads (it also honours the
-/// `--no-verify` switch).
+/// `--no-verify` switch). Every solving subcommand takes them.
 const CFG_VALUE_FLAGS: [&str; 7] = [
     "--budget-ms",
     "--solver-jobs",
@@ -103,6 +103,40 @@ const CFG_VALUE_FLAGS: [&str; 7] = [
     "--reduce",
     "--verify",
 ];
+
+/// The value-taking flags of `batch` and `serve` beyond [`CFG_VALUE_FLAGS`]:
+/// what [`serve_config_from_args`] and [`attach_mart`] read.
+const SERVICE_VALUE_FLAGS: [&str; 3] = ["--jobs", "--cache", "--mart"];
+
+/// The switches [`serve_config_from_args`] reads.
+const SERVICE_SWITCHES: [&str; 2] = ["--no-cache-file", "--no-warm-start"];
+
+/// The positional arguments of a solving subcommand's `args`, at most
+/// `max` of them. Every other argument must be `--no-verify`, one of
+/// `switches`, or a flag of [`CFG_VALUE_FLAGS`] or `value_flags` followed
+/// by its value; anything else is an error naming it, so a typo never
+/// runs with the default.
+fn positionals<'a>(
+    args: &'a [String],
+    max: usize,
+    value_flags: &[&str],
+    switches: &[&str],
+    usage: &str,
+) -> Result<Vec<&'a str>, String> {
+    let mut found = Vec::new();
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        if CFG_VALUE_FLAGS.contains(&a.as_str()) || value_flags.contains(&a.as_str()) {
+            rest.next().ok_or(format!("{a} needs a value"))?;
+        } else if a != "--no-verify" && !switches.contains(&a.as_str()) {
+            if a.starts_with("--") || found.len() == max {
+                return Err(format!("unexpected argument `{a}` (usage: {usage})"));
+            }
+            found.push(a.as_str());
+        }
+    }
+    Ok(found)
+}
 
 /// Parses shared optimizer flags: `--budget-ms N` bounds the whole
 /// pipeline with a wall-clock deadline (expiry degrades the optimizer
@@ -185,23 +219,12 @@ fn parse_m(args: &[String]) -> Result<usize, Box<dyn std::error::Error>> {
 /// none is). Any other argument that is not a known flag or a flag's value
 /// is an error naming it, so a typo never builds the default design.
 fn gen_ppg(args: &[String]) -> Result<PpgKind, String> {
-    let mut ppg = None;
-    let mut rest = args.iter().skip(1);
-    while let Some(a) = rest.next() {
-        if a == "--out" || CFG_VALUE_FLAGS.contains(&a.as_str()) {
-            rest.next();
-        } else if a != "--no-verify" {
-            match PpgKind::from_name(a) {
-                Some(p) if ppg.is_none() => ppg = Some(p),
-                _ => {
-                    return Err(format!(
-                        "unexpected argument `{a}` (usage: gen <m> [and|mbe|mbe8|bw] [flags…])"
-                    ))
-                }
-            }
-        }
+    let usage = "gen <m> [and|mbe|mbe8|bw] [flags…]";
+    match positionals(args, 2, &["--out"], &[], usage)?[..] {
+        [_, name] => PpgKind::from_name(name)
+            .ok_or_else(|| format!("unexpected argument `{name}` (usage: {usage})")),
+        _ => Ok(PpgKind::And),
     }
-    Ok(ppg.unwrap_or(PpgKind::And))
 }
 
 fn cmd_gen(args: &[String]) -> CliResult {
@@ -279,9 +302,9 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a String> {
 /// The cache persists to `gomil-serve-cache.tsv` in the working directory
 /// unless `--cache FILE` overrides the path or `--no-cache-file` disables
 /// persistence.
-fn serve_config_from_args(args: &[String]) -> ServeConfig {
+fn serve_config_from_args(args: &[String]) -> Result<ServeConfig, String> {
     let mut sc = ServeConfig::default();
-    if let Some(jobs) = flag_value(args, "--jobs").and_then(|s| s.parse().ok()) {
+    if let Some(jobs) = parse_flag(args, "--jobs", |s| s.parse().ok())? {
         sc.jobs = jobs;
     }
     sc.cache_path = if args.iter().any(|a| a == "--no-cache-file") {
@@ -303,7 +326,7 @@ fn serve_config_from_args(args: &[String]) -> ServeConfig {
     {
         sc.min_verdict = VerdictTier::Tested;
     }
-    sc
+    Ok(sc)
 }
 
 /// Attaches the `--mart FILE` precomputed design store, when given: the
@@ -367,20 +390,28 @@ fn finish_service(svc: &gomil::SolveService) -> CliResult {
 }
 
 fn cmd_batch(args: &[String]) -> CliResult {
+    let usage = "gomil batch <m,m,…> [--all-ppg] [--jobs N] [--repeat K] [flags…]";
     let ms: Vec<usize> = args
         .first()
-        .ok_or("usage: gomil batch <m,m,…> [--all-ppg] [--jobs N] [--repeat K]")?
+        .ok_or(usage)?
         .split(',')
         .map(|s| s.trim().parse::<usize>())
         .collect::<Result<_, _>>()
         .map_err(|e| format!("bad word-length list: {e}"))?;
     let all_ppg = args.iter().any(|a| a == "--all-ppg");
-    let repeat = flag_value(args, "--repeat")
-        .and_then(|s| s.parse::<usize>().ok())
+    let repeat = parse_flag(args, "--repeat", |s| s.parse::<usize>().ok())?
         .unwrap_or(2)
         .max(1);
     let cfg = cfg_from_args(args)?;
-    let svc = attach_mart(serve_service(&cfg, serve_config_from_args(args))?, args)?;
+    let sc = serve_config_from_args(args)?;
+    positionals(
+        args,
+        1,
+        &[&SERVICE_VALUE_FLAGS[..], &["--repeat"]].concat(),
+        &[&SERVICE_SWITCHES[..], &["--all-ppg"]].concat(),
+        usage,
+    )?;
+    let svc = attach_mart(serve_service(&cfg, sc)?, args)?;
 
     let ppgs: &[PpgKind] = if all_ppg {
         &PpgKind::all()
@@ -424,13 +455,13 @@ fn cmd_batch(args: &[String]) -> CliResult {
 /// `POST /shutdown` drains the server, then exits 0.
 fn cmd_serve_http(args: &[String], addr: &str) -> CliResult {
     let mut httpd = gomil_httpd::HttpdConfig::default();
-    if let Some(n) = flag_value(args, "--http-inflight").and_then(|s| s.parse().ok()) {
+    if let Some(n) = parse_flag(args, "--http-inflight", |s| s.parse().ok())? {
         httpd.max_inflight = n;
     }
-    if let Some(n) = flag_value(args, "--http-queue").and_then(|s| s.parse().ok()) {
+    if let Some(n) = parse_flag(args, "--http-queue", |s| s.parse().ok())? {
         httpd.max_queue = n;
     }
-    if let Some(ms) = flag_value(args, "--drain-ms").and_then(|s| s.parse::<u64>().ok()) {
+    if let Some(ms) = parse_flag(args, "--drain-ms", |s| s.parse::<u64>().ok())? {
         httpd.drain_budget = std::time::Duration::from_millis(ms);
     }
     if let Some(raw) = flag_value(args, "--deadline-ms") {
@@ -443,10 +474,23 @@ fn cmd_serve_http(args: &[String], addr: &str) -> CliResult {
         httpd.default_deadline = Some(deadline);
     }
     let cfg = cfg_from_args(args)?;
-    let svc = std::sync::Arc::new(attach_mart(
-        serve_service(&cfg, serve_config_from_args(args))?,
+    let sc = serve_config_from_args(args)?;
+    let http_flags = [
+        "--listen",
+        "--http-inflight",
+        "--http-queue",
+        "--drain-ms",
+        "--deadline-ms",
+    ];
+    positionals(
         args,
-    )?);
+        0,
+        &[&SERVICE_VALUE_FLAGS[..], &http_flags].concat(),
+        &SERVICE_SWITCHES,
+        "gomil serve --listen ADDR [--http-inflight N] [--http-queue N] [--drain-ms N] \
+         [--deadline-ms N] [flags…]",
+    )?;
+    let svc = std::sync::Arc::new(attach_mart(serve_service(&cfg, sc)?, args)?);
     let server = gomil_httpd::Server::bind(std::sync::Arc::clone(&svc), addr, httpd)?;
     let local = server.local_addr()?;
     eprintln!("listening on http://{local}  (POST /shutdown to drain)");
@@ -460,8 +504,17 @@ fn cmd_serve(args: &[String]) -> CliResult {
     if let Some(addr) = flag_value(args, "--listen") {
         return cmd_serve_http(args, addr);
     }
-    let path = flag_value(args, "--requests")
-        .ok_or("usage: gomil serve --requests FILE | --listen ADDR [--jobs N] [--cache FILE]")?;
+    let usage = "gomil serve --requests FILE | --listen ADDR [--jobs N] [--cache FILE] [flags…]";
+    let path = flag_value(args, "--requests").ok_or(usage)?;
+    let cfg = cfg_from_args(args)?;
+    let sc = serve_config_from_args(args)?;
+    positionals(
+        args,
+        0,
+        &[&SERVICE_VALUE_FLAGS[..], &["--requests"]].concat(),
+        &SERVICE_SWITCHES,
+        usage,
+    )?;
     let text = std::fs::read_to_string(path)?;
     let mut requests = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -485,8 +538,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
     if requests.is_empty() {
         return Err(format!("{path}: no requests (lines are `<m> [ppg]`)").into());
     }
-    let cfg = cfg_from_args(args)?;
-    let svc = attach_mart(serve_service(&cfg, serve_config_from_args(args))?, args)?;
+    let svc = attach_mart(serve_service(&cfg, sc)?, args)?;
     let results = svc.run_batch(&requests);
     print_results(&requests, &results);
     let failed = results.iter().filter(|r| r.is_err()).count();
@@ -535,9 +587,10 @@ fn achievable_tier(m: usize, cfg: &GomilConfig) -> VerdictTier {
 /// `gomil mart build`: sweep the (m ∈ roster, PPG ∈ all, config) lattice
 /// through the parallel solve/ladder/verify pipeline and persist every
 /// certified outcome. With `--refresh` an existing mart at `--out` is
-/// updated incrementally: entries whose recorded solver version is
-/// current *and* whose verdict tier is already the best achievable are
-/// carried over byte-for-byte; everything else is re-solved.
+/// updated incrementally: an entry whose key is still in the lattice (the
+/// key carries the solver version) and whose verdict tier is already the
+/// best achievable is carried over byte-for-byte; everything else is
+/// re-solved.
 fn cmd_mart_build(args: &[String]) -> CliResult {
     let out = flag_value(args, "--out")
         .map(PathBuf::from)
@@ -553,8 +606,15 @@ fn cmd_mart_build(args: &[String]) -> CliResult {
     let cfg = cfg_from_args(args)?;
     // The mart is its own persistence: the builder service runs without a
     // cache file so a stale TSV cannot leak into the store.
-    let mut sc = serve_config_from_args(args);
+    let mut sc = serve_config_from_args(args)?;
     sc.cache_path = None;
+    positionals(
+        args,
+        0,
+        &["--out", "--ms", "--jobs"],
+        &["--refresh", "--no-warm-start"],
+        "gomil mart build [--out FILE] [--ms m,m,…] [--refresh] [--jobs N] [flags…]",
+    )?;
     let svc = serve_service(&cfg, sc)?;
 
     let lattice: Vec<SolveRequest> = ms
@@ -580,18 +640,15 @@ fn cmd_mart_build(args: &[String]) -> CliResult {
     let mut carried = 0usize;
     for req in &lattice {
         let key = svc.key_for(req);
-        let keep = existing.as_ref().and_then(|mart| {
-            mart.entries()
-                .find(|(k, _, _)| *k == key.canonical())
-                .map(|(_, version, outcome)| (version, outcome.clone()))
-        });
+        let keep = existing
+            .as_ref()
+            .and_then(|mart| mart.entries().find(|(k, _)| *k == key.canonical()))
+            .map(|(_, outcome)| outcome);
         match keep {
-            Some((version, outcome))
-                if version >= gomil::SOLVER_VERSION
-                    && !outcome.degraded
-                    && outcome.verdict >= achievable_tier(req.m, &cfg) =>
+            Some(outcome)
+                if !outcome.degraded && outcome.verdict >= achievable_tier(req.m, &cfg) =>
             {
-                builder.insert_with_version(&key, &outcome, version);
+                builder.insert(&key, outcome);
                 carried += 1;
             }
             _ => to_solve.push(req.clone()),
@@ -635,7 +692,7 @@ fn cmd_mart_build(args: &[String]) -> CliResult {
 fn cmd_mart_stats(args: &[String]) -> CliResult {
     let path = mart_path_arg(args)?;
     let mart = gomil_mart::Mart::load(&path)?;
-    let stats = mart.stats(gomil::SOLVER_VERSION);
+    let stats = mart.stats();
     println!("mart {}", path.display());
     println!(
         "entries {}   skipped {}   solver version {} (current {})",
@@ -648,10 +705,7 @@ fn cmd_mart_stats(args: &[String]) -> CliResult {
         "verdicts: proved {}  tested {}  skipped {}  failed {}",
         stats.verdicts[0], stats.verdicts[1], stats.verdicts[2], stats.verdicts[3]
     );
-    println!(
-        "stale (older solver version) {}   m range {}..={}",
-        stats.stale, stats.m_range.0, stats.m_range.1
-    );
+    println!("m range {}..={}", stats.m_range.0, stats.m_range.1);
     Ok(())
 }
 

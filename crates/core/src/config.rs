@@ -139,6 +139,10 @@ impl GomilConfig {
     /// any worker count proves the same objective value, it only
     /// changes how fast (and, among ties, *which* optimal assignment comes
     /// back — the cache stores one certified optimum either way).
+    ///
+    /// The string ends with the [`SOLVER_VERSION`](crate::SOLVER_VERSION)
+    /// that produces the result, so a cache or mart record written by
+    /// another solver version matches no key and is never served.
     pub fn solve_fingerprint(&self) -> String {
         let style = match self.select_style {
             SelectStyle::Ripple => "ripple",
@@ -146,14 +150,15 @@ impl GomilConfig {
             SelectStyle::SelectSkip => "select-skip",
         };
         format!(
-            "w={};l={};alpha={};beta={};style={style};arrival={};pv={};verify={}",
+            "w={};l={};alpha={};beta={};style={style};arrival={};pv={};verify={};solver={}",
             self.w,
             self.l,
             self.alpha,
             self.beta,
             self.arrival_aware,
             self.power_vectors,
-            self.verify.label()
+            self.verify.label(),
+            crate::SOLVER_VERSION
         )
     }
 

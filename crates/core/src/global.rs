@@ -334,20 +334,6 @@ impl fmt::Display for SolveStats {
                 "uncertified"
             },
             self.jobs,
-        )?;
-        let r = &self.root;
-        write!(
-            f,
-            "; root [build {}µs, presolve {}µs, factor {}µs, lp {}µs/{} iters, \
-             {} cuts in {} rounds ({}µs)]",
-            r.build_us,
-            r.presolve_us,
-            r.first_factor_us,
-            r.root_lp_us,
-            r.root_lp_iters,
-            r.cuts_added,
-            r.cut_rounds,
-            r.cut_us,
         )
     }
 }

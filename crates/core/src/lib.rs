@@ -88,6 +88,6 @@ pub use gomil_netlist::{
 };
 pub use gomil_prefix::{PrefixTree, SelectStyle};
 pub use gomil_serve::{
-    DesignStore, MetricsReport, ServeConfig, ServeError, ServeOutcome, SolveKey, SolveRequest,
-    SolveService, SolverFn, WarmHint,
+    DesignStore, MetricsReport, ServeConfig, ServeError, ServeOutcome, SolveCounters, SolveKey,
+    SolveRequest, SolveService, SolverFn, WarmHint,
 };

@@ -217,6 +217,8 @@ mod tests {
             ] {
                 assert!(s.contains(needle), "missing {needle} in:\n{s}");
             }
+            // The root profile is printed once, on its own line.
+            assert_eq!(s.matches("presolve").count(), 1, "{s}");
         }
     }
 }

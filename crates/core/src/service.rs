@@ -10,20 +10,22 @@
 use crate::config::GomilConfig;
 use crate::error::GomilError;
 use crate::flow::{build_gomil_budgeted, GomilDesign};
-use crate::global::{Rung, WarmStartHint};
+use crate::global::{Rung, SolveStats, WarmStartHint};
 use gomil_budget::Budget;
 use gomil_netlist::VerdictTier;
-use gomil_serve::{ServeConfig, ServeError, ServeOutcome, SolveService, SolverFn};
+use gomil_serve::{ServeConfig, ServeError, ServeOutcome, SolveCounters, SolveService, SolverFn};
 use std::io;
 
-/// Generation stamp of the solve pipeline, recorded per entry in the
-/// precomputed design mart. Bump it whenever a solver or verifier change
-/// could *improve* an already-certified outcome (better objective, higher
-/// verdict tier, richer telemetry) — `gomil mart build --refresh` then
-/// re-solves exactly the entries whose recorded stamp is older. Latency
-/// knobs (pricing, cuts, budgets) do not warrant a bump, for the same
-/// reason they are excluded from the solve fingerprint: they never change
-/// the certified optimum.
+/// Generation stamp of the solve pipeline, part of
+/// [`GomilConfig::solve_fingerprint`] and so of every cache and mart key.
+/// Bump it whenever a solver or verifier change could *improve* an
+/// already-certified outcome (better objective, higher verdict tier,
+/// richer telemetry): records keyed under another version then match no
+/// request, so a persisted cache or mart never serves an outdated design,
+/// and `gomil mart build --refresh` re-solves every entry. Latency knobs
+/// (pricing, cuts, budgets) do not warrant a bump, for the same reason
+/// they are excluded from the solve fingerprint: they never change the
+/// certified optimum.
 pub const SOLVER_VERSION: u32 = 2;
 
 /// Flattens a finished design into the service's cacheable record.
@@ -44,32 +46,10 @@ fn outcome_from(design: &GomilDesign, cfg: &GomilConfig) -> ServeOutcome {
         || degradation.budget_limited()
         || degradation.winner == Some(Rung::DaddaPrefix);
     // Non-ILP rungs (target search, Dadda) carry no branch-and-bound
-    // stats; their telemetry fields stay zero.
-    let (solver_nodes, solver_lp_iters, solver_gap) = match &sol.solver_stats {
-        Some(stats) => (stats.nodes, stats.lp_iterations, stats.gap),
-        None => (0, 0, 0.0),
-    };
-    let (solver_warm_attempts, solver_warm_hits, solver_refactors) = match &sol.solver_stats {
-        Some(stats) => (
-            stats.lp_warm_attempts,
-            stats.lp_warm_hits,
-            stats.lp_refactors,
-        ),
-        None => (0, 0, 0),
-    };
-    // Root-stage breakdown: total wall-clock from model build through the
-    // cut loop (first factorization is inside the root LP time).
-    let (root_us, root_lp_iters, cuts_added) = match &sol.solver_stats {
-        Some(stats) => {
-            let r = &stats.root;
-            (
-                r.build_us + r.presolve_us + r.root_lp_us + r.cut_us,
-                r.root_lp_iters,
-                r.cuts_added,
-            )
-        }
-        None => (0, 0, 0),
-    };
+    // stats; their solver counters and gap stay zero, their timeline empty.
+    let stats = sol.solver_stats.as_ref();
+    let count = |field: fn(&SolveStats) -> u64| stats.map_or(0, field);
+    let root = stats.map(|s| s.root).unwrap_or_default();
     // The verdict the admission gate stamped during the build. `Failed`
     // cannot reach this point (the build errors out instead); `Skipped`
     // (verification off / approximate design) falls back to the legacy
@@ -91,24 +71,25 @@ fn outcome_from(design: &GomilDesign, cfg: &GomilConfig) -> ServeOutcome {
         objective: sol.objective,
         degraded,
         vs_counts: sol.vs.counts().to_vec(),
-        solver_nodes,
-        solver_lp_iters,
-        solver_gap,
-        solver_warm_attempts,
-        solver_warm_hits,
-        solver_refactors,
+        solver_gap: stats.map_or(0.0, |s| s.gap),
         verdict,
-        verify_vectors: sol.verdict.vectors(),
-        verify_us: sol.verify_time.as_micros() as u64,
-        root_us,
-        root_lp_iters,
-        cuts_added,
-        improvements: sol
-            .solver_stats
-            .as_ref()
-            .map(|stats| {
-                stats
-                    .improvements
+        counters: SolveCounters {
+            solver_nodes: count(|s| s.nodes),
+            solver_lp_iters: count(|s| s.lp_iterations),
+            solver_warm_attempts: count(|s| s.lp_warm_attempts),
+            solver_warm_hits: count(|s| s.lp_warm_hits),
+            solver_refactors: count(|s| s.lp_refactors),
+            verify_vectors: sol.verdict.vectors(),
+            verify_us: sol.verify_time.as_micros() as u64,
+            // Model build through the cut loop (the first factorization
+            // is inside the root LP time).
+            root_us: root.build_us + root.presolve_us + root.root_lp_us + root.cut_us,
+            root_lp_iters: root.root_lp_iters,
+            cuts_added: root.cuts_added,
+        },
+        improvements: stats
+            .map(|s| {
+                s.improvements
                     .iter()
                     .map(|ev| (ev.at.as_micros() as u64, ev.objective))
                     .collect()
@@ -174,7 +155,7 @@ mod tests {
             VerdictTier::Proved,
             "m = 4 is inside Fast's exhaustive range"
         );
-        assert_eq!(fresh.verify_vectors, 256, "4^4 operand pairs");
+        assert_eq!(fresh.counters.verify_vectors, 256, "4^4 operand pairs");
         let cached = svc.serve_one(&req).unwrap();
         assert_eq!(fresh, cached);
         assert_eq!(

@@ -119,3 +119,96 @@ fn gen_builds_the_named_ppg() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.starts_with("module gomil_bw_3"), "{log}");
 }
+
+/// Asserts that `args` fails before any solve with an error naming each
+/// of `needles`.
+fn assert_rejected_before_solving(args: &[&str], needles: &[&str]) {
+    let out = gomil(args);
+    let log = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?} must fail: {log}");
+    assert!(out.stdout.is_empty(), "{args:?} printed results: {log}");
+    for needle in needles {
+        assert!(
+            log.contains(needle),
+            "{args:?}: error names {needle}: {log}"
+        );
+    }
+}
+
+#[test]
+fn batch_serve_and_mart_build_reject_unknown_arguments_before_any_solve() {
+    let dir = std::env::temp_dir().join(format!("gomil-cli-args-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let requests = dir.join("requests.txt");
+    std::fs::write(&requests, "4\n").unwrap();
+    let requests = requests.to_str().unwrap();
+    let mart = dir.join("designs.mart");
+    let mart = mart.to_str().unwrap();
+    let cases: [(&[&str], &[&str]); 8] = [
+        (&["batch", "3", "--bogus", "--no-cache-file"], &["--bogus"]),
+        (&["batch", "3", "4", "--no-cache-file"], &["`4`"]),
+        (
+            &["batch", "3", "--repeat", "twice", "--no-cache-file"],
+            &["--repeat", "twice"],
+        ),
+        (
+            &["serve", "--requests", requests, "--frobnicate", "7"],
+            &["--frobnicate"],
+        ),
+        (
+            &["serve", "--requests", requests, "--jobs", "abc"],
+            &["--jobs", "abc"],
+        ),
+        (
+            &["serve", "--listen", "127.0.0.1:0", "--http-queue", "many"],
+            &["--http-queue", "many"],
+        ),
+        (
+            &["mart", "build", "--ms", "3", "--out", mart, "--bogus"],
+            &["--bogus"],
+        ),
+        (
+            &["mart", "build", "--ms", "3", "--out", mart, "--cache", "f"],
+            &["--cache"],
+        ),
+    ];
+    for (args, needles) in cases {
+        assert_rejected_before_solving(args, needles);
+    }
+    assert!(!std::path::Path::new(mart).exists(), "no mart was written");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The invocations the benchmark makes pass the argument checks: each
+/// fails only later, on an input chosen to stop it before any solve.
+#[test]
+fn the_benchmark_invocations_pass_the_argument_checks() {
+    let missing = std::env::temp_dir().join("gomil-cli-no-such.mart");
+    let missing = missing.to_str().unwrap();
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &[
+                "mart", "build", "--jobs", "2", "--ms", "1", "--out", missing,
+            ],
+            "no valid (m, PPG) pairs",
+        ),
+        (
+            &[
+                "serve",
+                "--listen",
+                "127.0.0.1:0",
+                "--no-cache-file",
+                "--mart",
+                missing,
+            ],
+            "--mart",
+        ),
+    ];
+    for (args, expected) in cases {
+        let out = gomil(args);
+        let log = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?}: {log}");
+        assert!(log.contains(expected), "{args:?}: {log}");
+        assert!(!log.contains("unexpected argument"), "{args:?}: {log}");
+    }
+}

@@ -4,7 +4,9 @@
 
 use gomil_httpd::{client, HttpdConfig, Server};
 use gomil_mart::{Mart, MartBuilder};
-use gomil_serve::{DesignMetrics, PpgKind, ServeConfig, ServeOutcome, SolveService, VerdictTier};
+use gomil_serve::{
+    DesignMetrics, PpgKind, ServeConfig, ServeOutcome, SolveCounters, SolveService, VerdictTier,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -25,18 +27,17 @@ fn outcome_for(m: usize) -> ServeOutcome {
         objective: 100.0 + m as f64,
         degraded: false,
         vs_counts: vec![1, 2, 1],
-        solver_nodes: 5,
-        solver_lp_iters: 50,
         solver_gap: 0.0,
-        solver_warm_attempts: 0,
-        solver_warm_hits: 0,
-        solver_refactors: 0,
         verdict: VerdictTier::Proved,
-        verify_vectors: 256,
-        verify_us: 10,
-        root_us: 100,
-        root_lp_iters: 5,
-        cuts_added: 0,
+        counters: SolveCounters {
+            solver_nodes: 5,
+            solver_lp_iters: 50,
+            verify_vectors: 256,
+            verify_us: 10,
+            root_us: 100,
+            root_lp_iters: 5,
+            ..SolveCounters::default()
+        },
         improvements: vec![(1_000, 110.0), (5_000, 100.0 + m as f64)],
     }
 }
@@ -240,6 +241,10 @@ fn post_lp_solves_uploaded_models() {
     let bad = client::request(&addr, "POST", "/lp", &[], b"this is not an lp file").unwrap();
     assert_eq!(bad.status, 400, "{}", bad.text());
     assert!(bad.text().contains("error"));
+    // A non-ASCII identifier is a parse error, not a dropped connection.
+    let accented = "minimize\n obj: é\nend";
+    let bad = client::request(&addr, "POST", "/lp", &[], accented.as_bytes()).unwrap();
+    assert_eq!(bad.status, 400, "{}", bad.text());
     let empty = client::request(&addr, "POST", "/lp", &[], b"").unwrap();
     assert_eq!(empty.status, 400);
     let wrong_method = client::request(&addr, "GET", "/lp", &[], b"").unwrap();

@@ -158,8 +158,16 @@ fn err(line: usize, msg: impl Into<String>) -> LpParseError {
 
 /// Lexes one line into tokens. `+`/`-` immediately followed by a digit
 /// or dot fuse into a signed number; `inf`/`infinity` words become
-/// infinite [`Tok::Num`]s so bounds like `-inf <= x` work.
+/// infinite [`Tok::Num`]s so bounds like `-inf <= x` work. The lexer
+/// reads bytes, so a non-ASCII character is refused before it could be
+/// split mid-sequence.
 fn lex_line(text: &str, lineno: usize) -> Result<Vec<Tok>, LpParseError> {
+    if let Some(c) = text.chars().find(|c| !c.is_ascii()) {
+        return Err(err(
+            lineno,
+            format!("unexpected character `{c}` (LP files are ASCII)"),
+        ));
+    }
     let mut toks = Vec::new();
     let bytes = text.as_bytes();
     let mut i = 0;
@@ -760,6 +768,7 @@ mod tests {
                 "empty bounds",
             ),
             ("Minimize\n obj: x ?\nEnd", "unexpected character"),
+            ("Minimize\n obj: é\nEnd", "unexpected character `é`"),
         ] {
             let e = Model::from_lp_format(text).expect_err(text);
             assert!(e.msg.contains(want), "`{}` → {}", text, e);

@@ -12,7 +12,7 @@
 //! the design-library amortization move (Arm RTL-Books style): pay for
 //! exact ILP solves once, serve them forever.
 //!
-//! ## On-disk format (version 1, little-endian)
+//! ## On-disk format (version 2, little-endian)
 //!
 //! The layout is memory-map friendly — fixed-width header, fixed-width
 //! sorted index, offset-addressed records — though this dependency-free,
@@ -26,7 +26,7 @@
 //!                 key hash u64 | record_off u64 | record_len u64 |
 //!                 FNV-1a(hash_le ‖ record bytes) u64
 //! records  key_len u32 | canonical key | line_len u32 |
-//!                 ServeOutcome TSV line | entry_solver_version u32
+//!                 ServeOutcome line
 //! ```
 //!
 //! Entries are keyed by the **full canonical [`SolveKey`] string** — the
@@ -35,16 +35,15 @@
 //! wrong design. The per-entry checksum covers the stored hash *and* the
 //! record bytes, so a single flipped bit anywhere in an index slot or its
 //! record drops exactly that entry at load. Loading is tolerant
-//! (truncated or corrupt entries are skipped, mirroring the cache v2
+//! (truncated or corrupt entries are skipped, mirroring the cache
 //! loader); writing is atomic (temp file + fsync + rename).
 //!
-//! ## Refresh semantics
+//! ## Solver versions
 //!
-//! Every entry records the `solver_version` that produced it. An
-//! incremental refresh (`gomil mart build --refresh`) re-solves only
-//! entries whose recorded solver version is older than the current one or
-//! whose verdict tier is below what the current verify mode could certify
-//! — everything else is carried over byte-for-byte.
+//! The canonical key carries the solver version that produced the entry
+//! (the `gomil` crate puts it in the solve fingerprint), so an entry built
+//! by another solver version matches no request. The header records the
+//! version the mart was built with, for `gomil mart stats`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,7 +56,7 @@ use std::path::Path;
 /// Magic bytes opening every mart file.
 pub const MAGIC: &[u8; 8] = b"GOMLMART";
 /// On-disk format version this crate reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 /// Header size in bytes.
 const HEADER_LEN: usize = 48;
 /// Index slot size in bytes.
@@ -93,7 +92,6 @@ struct MartEntry {
     hash: u64,
     key: String,
     outcome: ServeOutcome,
-    solver_version: u32,
 }
 
 /// A read-only, loaded design mart. Implements
@@ -116,8 +114,6 @@ pub struct MartStats {
     pub skipped: usize,
     /// Solver version recorded in the header.
     pub solver_version: u32,
-    /// Entries whose recorded solver version is older than `current`.
-    pub stale: usize,
     /// Entries per verdict tier `[proved, tested, skipped, failed]`.
     pub verdicts: [usize; 4],
     /// Smallest and largest multiplier width covered (0,0 when empty).
@@ -178,7 +174,10 @@ impl Mart {
         if format != FORMAT_VERSION {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("unsupported mart format version {format}"),
+                format!(
+                    "unsupported mart format version {format} (this build reads \
+                     {FORMAT_VERSION}); rebuild it with `gomil mart build`"
+                ),
             ));
         }
         let solver_version = u32_at(bytes, 12).expect("header length checked");
@@ -225,13 +224,11 @@ impl Mart {
         let line_len = u32_at(record, 4 + key_len)? as usize;
         let line_off = 8 + key_len;
         let line = std::str::from_utf8(record.get(line_off..line_off + line_len)?).ok()?;
-        let solver_version = u32_at(record, line_off + line_len)?;
         let outcome = ServeOutcome::from_line(line)?;
         Some(MartEntry {
             hash,
             key: key.to_string(),
             outcome,
-            solver_version,
         })
     }
 
@@ -245,13 +242,11 @@ impl Mart {
         self.solver_version
     }
 
-    /// Iterates `(canonical key, entry solver version, outcome)` in
-    /// `(hash, key)` order — the refresh builder walks this to decide
-    /// which entries to carry over and which to re-solve.
-    pub fn entries(&self) -> impl Iterator<Item = (&str, u32, &ServeOutcome)> {
-        self.entries
-            .iter()
-            .map(|e| (e.key.as_str(), e.solver_version, &e.outcome))
+    /// Iterates `(canonical key, outcome)` in `(hash, key)` order — the
+    /// refresh builder walks this to decide which entries to carry over
+    /// and which to re-solve.
+    pub fn entries(&self) -> impl Iterator<Item = (&str, &ServeOutcome)> {
+        self.entries.iter().map(|e| (e.key.as_str(), &e.outcome))
     }
 
     /// First index position whose hash is `hash`.
@@ -259,10 +254,9 @@ impl Mart {
         self.entries.partition_point(|e| e.hash < hash)
     }
 
-    /// Summarizes the mart against the `current` solver version.
-    pub fn stats(&self, current: u32) -> MartStats {
+    /// Summarizes the mart.
+    pub fn stats(&self) -> MartStats {
         let mut verdicts = [0usize; 4];
-        let mut stale = 0usize;
         let (mut lo, mut hi) = (usize::MAX, 0usize);
         for e in &self.entries {
             let idx = match e.outcome.verdict {
@@ -272,9 +266,6 @@ impl Mart {
                 VerdictTier::Failed => 3,
             };
             verdicts[idx] += 1;
-            if e.solver_version < current {
-                stale += 1;
-            }
             lo = lo.min(e.outcome.m);
             hi = hi.max(e.outcome.m);
         }
@@ -282,7 +273,6 @@ impl Mart {
             entries: self.entries.len(),
             skipped: self.skipped,
             solver_version: self.solver_version,
-            stale,
             verdicts,
             m_range: if self.entries.is_empty() {
                 (0, 0)
@@ -352,14 +342,13 @@ impl DesignStore for Mart {
 #[derive(Debug)]
 pub struct MartBuilder {
     solver_version: u32,
-    /// key → (index hash, outcome TSV line, entry solver version).
-    /// Keyed by canonical key so re-inserting a key replaces the entry.
-    entries: BTreeMap<String, (u64, String, u32)>,
+    /// key → (index hash, outcome line). Keyed by canonical key so
+    /// re-inserting a key replaces the entry.
+    entries: BTreeMap<String, (u64, String)>,
 }
 
 impl MartBuilder {
-    /// A builder stamping `solver_version` into the header and (by
-    /// default) into each entry.
+    /// A builder stamping `solver_version` into the header.
     pub fn new(solver_version: u32) -> MartBuilder {
         MartBuilder {
             solver_version,
@@ -367,20 +356,9 @@ impl MartBuilder {
         }
     }
 
-    /// Inserts (or replaces) the outcome for `key`, stamped with the
-    /// builder's solver version.
+    /// Inserts (or replaces) the outcome for `key`.
     pub fn insert(&mut self, key: &SolveKey, outcome: &ServeOutcome) {
-        self.insert_with_version(key, outcome, self.solver_version);
-    }
-
-    /// [`insert`](Self::insert) with an explicit per-entry solver version
-    /// — the refresh path uses this to carry old entries over without
-    /// re-stamping them.
-    pub fn insert_with_version(&mut self, key: &SolveKey, outcome: &ServeOutcome, version: u32) {
-        self.entries.insert(
-            key.canonical().to_string(),
-            (key.hash64(), outcome.to_line(), version),
-        );
+        self.insert_raw(key.hash64(), key.canonical(), outcome);
     }
 
     /// Test/audit escape hatch: stores `outcome` under an *arbitrary*
@@ -388,9 +366,9 @@ impl MartBuilder {
     /// that real FNV inputs cannot practically produce. Readers must stay
     /// correct anyway: the index hash only places an entry, the key
     /// compare decides identity.
-    pub fn insert_raw(&mut self, hash: u64, canonical: &str, outcome: &ServeOutcome, version: u32) {
+    pub fn insert_raw(&mut self, hash: u64, canonical: &str, outcome: &ServeOutcome) {
         self.entries
-            .insert(canonical.to_string(), (hash, outcome.to_line(), version));
+            .insert(canonical.to_string(), (hash, outcome.to_line()));
     }
 
     /// Entries accumulated so far.
@@ -406,20 +384,19 @@ impl MartBuilder {
     /// Serializes the mart image (header + sorted index + records).
     pub fn to_bytes(&self) -> Vec<u8> {
         // Sort by (hash, key) — the lookup order.
-        let mut sorted: Vec<(&String, &(u64, String, u32))> = self.entries.iter().collect();
+        let mut sorted: Vec<(&String, &(u64, String))> = self.entries.iter().collect();
         sorted.sort_by(|a, b| (a.1 .0, a.0.as_str()).cmp(&(b.1 .0, b.0.as_str())));
 
         let count = sorted.len();
         let records_off = HEADER_LEN + count * SLOT_LEN;
         let mut index = Vec::with_capacity(count * SLOT_LEN);
         let mut records = Vec::new();
-        for (key, (hash, line, version)) in sorted {
-            let mut record = Vec::with_capacity(12 + key.len() + line.len());
+        for (key, (hash, line)) in sorted {
+            let mut record = Vec::with_capacity(8 + key.len() + line.len());
             record.extend_from_slice(&(key.len() as u32).to_le_bytes());
             record.extend_from_slice(key.as_bytes());
             record.extend_from_slice(&(line.len() as u32).to_le_bytes());
             record.extend_from_slice(line.as_bytes());
-            record.extend_from_slice(&version.to_le_bytes());
             index.extend_from_slice(&hash.to_le_bytes());
             index.extend_from_slice(&((records_off + records.len()) as u64).to_le_bytes());
             index.extend_from_slice(&(record.len() as u64).to_le_bytes());
@@ -466,7 +443,7 @@ impl MartBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gomil_serve::{DesignMetrics, PpgKind};
+    use gomil_serve::{DesignMetrics, PpgKind, SolveCounters};
 
     fn outcome(m: usize, ppg: PpgKind) -> ServeOutcome {
         ServeOutcome {
@@ -484,18 +461,15 @@ mod tests {
             objective: m as f64 * 3.5,
             degraded: false,
             vs_counts: vec![2; 2 * m - 1],
-            solver_nodes: 100 + m as u64,
-            solver_lp_iters: 4_000,
             solver_gap: 0.0,
-            solver_warm_attempts: 9,
-            solver_warm_hits: 7,
-            solver_refactors: 3,
             verdict: VerdictTier::Proved,
-            verify_vectors: 65_536,
-            verify_us: 1_200,
-            root_us: 800,
-            root_lp_iters: 55,
-            cuts_added: 2,
+            counters: SolveCounters {
+                solver_nodes: 100 + m as u64,
+                solver_lp_iters: 4_000,
+                verify_vectors: 65_536,
+                verify_us: 1_200,
+                ..SolveCounters::default()
+            },
             improvements: vec![(100, m as f64 * 4.0), (900, m as f64 * 3.5)],
         }
     }
@@ -611,8 +585,8 @@ mod tests {
         let oa = outcome(4, PpgKind::And);
         let ob = outcome(8, PpgKind::And);
         let mut builder = MartBuilder::new(1);
-        builder.insert_raw(shared, a.canonical(), &oa, 1);
-        builder.insert_raw(shared, b_key.canonical(), &ob, 1);
+        builder.insert_raw(shared, a.canonical(), &oa);
+        builder.insert_raw(shared, b_key.canonical(), &ob);
         let mart = Mart::from_bytes(&builder.to_bytes()).unwrap();
         assert_eq!(mart.len(), 2);
 
@@ -652,27 +626,25 @@ mod tests {
     #[test]
     fn stats_and_verify_summarize_the_store() {
         let (mut b, _) = sample_builder();
-        // One stale entry (solver version 1 < header version 3) with a
-        // lower verdict tier.
+        // One more entry with a lower verdict tier.
         let key = SolveKey::new(12, PpgKind::And, "w=8;test");
-        let mut old = outcome(12, PpgKind::And);
-        old.verdict = VerdictTier::Tested;
-        b.insert_with_version(&key, &old, 1);
+        let mut tested = outcome(12, PpgKind::And);
+        tested.verdict = VerdictTier::Tested;
+        b.insert(&key, &tested);
         let mart = Mart::from_bytes(&b.to_bytes()).unwrap();
-        let stats = mart.stats(3);
+        let stats = mart.stats();
         assert_eq!(stats.entries, 5);
         assert_eq!(stats.skipped, 0);
         assert_eq!(stats.solver_version, 3);
-        assert_eq!(stats.stale, 1);
         assert_eq!(stats.verdicts, [4, 1, 0, 0]);
         assert_eq!(stats.m_range, (4, 12));
-        // Refresh iteration sees the per-entry versions.
-        let stale: Vec<&str> = mart
+        // Refresh iteration sees every key with its outcome.
+        let below_proved: Vec<&str> = mart
             .entries()
-            .filter(|(_, v, _)| *v < 3)
-            .map(|(k, _, _)| k)
+            .filter(|(_, o)| o.verdict < VerdictTier::Proved)
+            .map(|(k, _)| k)
             .collect();
-        assert_eq!(stale, vec![key.canonical()]);
+        assert_eq!(below_proved, vec![key.canonical()]);
 
         let dir = std::env::temp_dir().join(format!("gomil-mart-stats-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -688,12 +660,17 @@ mod tests {
     fn wrong_magic_and_future_format_are_refused() {
         assert!(Mart::from_bytes(b"NOTAMART________").is_err());
         let (b, _) = sample_builder();
-        let mut bytes = b.to_bytes();
-        bytes[8] = 99; // format version
-                       // Re-stamp the header checksum so only the version is "wrong".
-        let sum = fnv1a_64(&bytes[..40]);
-        bytes[40..48].copy_from_slice(&sum.to_le_bytes());
-        let err = Mart::from_bytes(&bytes).unwrap_err();
-        assert!(err.to_string().contains("format version"));
+        // A future format is refused, and so is format 1, which stamped
+        // each entry with its solver version.
+        for version in [99u8, 1] {
+            let mut bytes = b.to_bytes();
+            bytes[8] = version;
+            // Re-stamp the header checksum so only the version is "wrong".
+            let sum = fnv1a_64(&bytes[..40]);
+            bytes[40..48].copy_from_slice(&sum.to_le_bytes());
+            let err = Mart::from_bytes(&bytes).unwrap_err().to_string();
+            assert!(err.contains("format version"), "{err}");
+            assert!(err.contains("gomil mart build"), "{err}");
+        }
     }
 }

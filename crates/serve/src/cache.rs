@@ -7,10 +7,11 @@
 //! shards (an `AtomicU64`), so eviction is a cheap min-scan of the full
 //! shard — fine at the few-thousand-entry capacities this service runs.
 //!
-//! Persistence is a line-per-entry text file (`canonical key \t outcome`)
-//! using Rust's shortest-roundtrip float formatting, so a reloaded entry
-//! is bit-identical to the one saved. Corrupted lines are skipped, not
-//! fatal: a damaged cache file degrades to a partial (or cold) cache.
+//! Persistence is a line-per-entry text file (`canonical key \t outcome
+//! \t #checksum`) using Rust's shortest-roundtrip float formatting, so a
+//! reloaded entry is bit-identical to the one saved. Corrupted lines are
+//! skipped, not fatal: a damaged cache file degrades to a partial (or
+//! cold) cache.
 
 use crate::key::SolveKey;
 use crate::outcome::ServeOutcome;
@@ -21,14 +22,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Version tag of the persisted format; bumped on incompatible changes so
-/// stale files are ignored rather than misparsed. v2 appends a per-line
-/// FNV-1a checksum so a torn line (truncated mid-float by a crashed or
-/// interrupted writer) is *rejected* instead of loading as a plausible but
-/// wrong value; v1 files (no checksums) still load best-effort.
-const PERSIST_HEADER: &str = "gomil-serve-cache v2";
-
-/// The pre-checksum header, still accepted on load.
-const PERSIST_HEADER_V1: &str = "gomil-serve-cache v1";
+/// a file of any other version loads nothing rather than being misparsed.
+/// Every line ends in an FNV-1a checksum so a torn line (truncated
+/// mid-float by a crashed or interrupted writer) is *rejected* instead of
+/// loading as a plausible but wrong value. v3 carries an outcome's
+/// counters as `name=value` fields.
+const PERSIST_HEADER: &str = "gomil-serve-cache v3";
 
 struct Entry {
     value: ServeOutcome,
@@ -251,33 +250,29 @@ impl ShardedCache {
             Err(e) => return Err(e),
         };
         let mut lines = io::BufReader::new(file).lines();
-        let checksummed = match lines.next() {
-            Some(Ok(header)) if header == PERSIST_HEADER => true,
-            Some(Ok(header)) if header == PERSIST_HEADER_V1 => false,
+        match lines.next() {
+            Some(Ok(header)) if header == PERSIST_HEADER => {}
             _ => return Ok(0),
-        };
+        }
         let mut loaded = 0usize;
         for line in lines {
-            let mut line = line?;
-            if checksummed {
-                // A v2 line must end with `\t#<16-hex fnv of everything
-                // before it>`; a torn tail fails this gate instead of
-                // parsing as a plausible shorter number.
-                let Some((content, tag)) = line.rsplit_once('\t') else {
-                    continue;
-                };
-                let Some(hex) = tag.strip_prefix('#') else {
-                    continue;
-                };
-                let Ok(sum) = u64::from_str_radix(hex, 16) else {
-                    continue;
-                };
-                if hex.len() != 16 || crate::key::fnv1a_64(content.as_bytes()) != sum {
-                    continue;
-                }
-                line.truncate(content.len());
+            let line = line?;
+            // A line must end with `\t#<16-hex fnv of everything before
+            // it>`; a torn tail fails this gate instead of parsing as a
+            // plausible shorter number.
+            let Some((content, tag)) = line.rsplit_once('\t') else {
+                continue;
+            };
+            let Some(hex) = tag.strip_prefix('#') else {
+                continue;
+            };
+            let Ok(sum) = u64::from_str_radix(hex, 16) else {
+                continue;
+            };
+            if hex.len() != 16 || crate::key::fnv1a_64(content.as_bytes()) != sum {
+                continue;
             }
-            let Some((canonical, rest)) = line.split_once('\t') else {
+            let Some((canonical, rest)) = content.split_once('\t') else {
                 continue;
             };
             let Some(outcome) = ServeOutcome::from_line(rest) else {
@@ -312,18 +307,17 @@ mod tests {
             objective: 100.0 + m as f64,
             degraded: false,
             vs_counts: vec![1, 2],
-            solver_nodes: 1,
-            solver_lp_iters: 7,
             solver_gap: 0.0,
-            solver_warm_attempts: 0,
-            solver_warm_hits: 0,
-            solver_refactors: 0,
             verdict: gomil_netlist::VerdictTier::Proved,
-            verify_vectors: 256,
-            verify_us: 12,
-            root_us: 800,
-            root_lp_iters: 9,
-            cuts_added: 0,
+            counters: crate::SolveCounters {
+                solver_nodes: 1,
+                solver_lp_iters: 7,
+                verify_vectors: 256,
+                verify_us: 12,
+                root_us: 800,
+                root_lp_iters: 9,
+                ..Default::default()
+            },
             improvements: vec![(25, 110.0 + m as f64), (80, 100.0 + m as f64)],
         }
     }
@@ -509,24 +503,16 @@ mod tests {
         assert_eq!(c.load(&bad).unwrap(), 0);
         std::fs::write(&bad, format!("{PERSIST_HEADER}\nnot-a-valid-entry\n")).unwrap();
         assert_eq!(c.load(&bad).unwrap(), 0);
+        // A file of an older format version loads nothing, even when its
+        // lines are well formed.
+        let good = ShardedCache::new(1, 8);
+        good.insert(&key(4), outcome(4, "v"));
+        good.save(&bad).unwrap();
+        let saved = std::fs::read_to_string(&bad).unwrap();
+        for old in ["gomil-serve-cache v1", "gomil-serve-cache v2"] {
+            std::fs::write(&bad, saved.replacen(PERSIST_HEADER, old, 1)).unwrap();
+            assert_eq!(c.load(&bad).unwrap(), 0, "{old}");
+        }
         std::fs::remove_file(&bad).unwrap();
-    }
-
-    #[test]
-    fn v1_files_without_checksums_still_load() {
-        let dir = std::env::temp_dir().join(format!("gomil-serve-v1-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("legacy.cache");
-        let k = key(4);
-        let body = format!(
-            "{PERSIST_HEADER_V1}\n{}\t{}\n",
-            k.canonical(),
-            outcome(4, "v1").to_line()
-        );
-        std::fs::write(&path, body).unwrap();
-        let c = ShardedCache::new(2, 8);
-        assert_eq!(c.load(&path).unwrap(), 1);
-        assert_eq!(c.probe(&k).unwrap(), outcome(4, "v1"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -56,8 +56,8 @@ mod singleflight;
 
 pub use cache::ShardedCache;
 pub use key::{fnv1a_64, SolveKey};
-pub use metrics::{MetricsReport, RungLatency, ServiceMetrics, SolverSample, LATENCY_BUCKETS};
-pub use outcome::{json_string, ServeOutcome};
+pub use metrics::{MetricsReport, RungLatency, ServiceMetrics, LATENCY_BUCKETS};
+pub use outcome::{json_string, ServeOutcome, SolveCounters};
 pub use service::{
     DesignStore, ServeConfig, ServeError, SolveRequest, SolveService, SolverFn, WarmHint,
 };

@@ -1,5 +1,6 @@
 //! Service observability: counters and per-rung latency histograms.
 
+use crate::outcome::SolveCounters;
 use gomil_netlist::VerdictTier;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -47,29 +48,6 @@ impl RungLatency {
     }
 }
 
-/// One solve's branch-and-bound telemetry, as fed to
-/// [`ServiceMetrics::record_solver`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolverSample {
-    /// Branch-and-bound nodes explored.
-    pub nodes: u64,
-    /// Simplex iterations spent.
-    pub lp_iters: u64,
-    /// Warm-restart attempts (nodes that carried a parent basis).
-    pub warm_attempts: u64,
-    /// Warm-restart hits (dual simplex succeeded, no primal fallback).
-    pub warm_hits: u64,
-    /// Basis refactorizations (eta-file rebuilds).
-    pub refactors: u64,
-    /// Root-stage wall-clock in microseconds (build + presolve + root LP
-    /// + cut separation).
-    pub root_us: u64,
-    /// Simplex iterations of the root LP alone.
-    pub root_lp_iters: u64,
-    /// Cutting planes appended at the root.
-    pub cuts_added: u64,
-}
-
 /// Thread-safe counters a [`SolveService`](crate::SolveService) maintains
 /// while draining batches.
 #[derive(Debug, Default)]
@@ -87,23 +65,6 @@ pub struct ServiceMetrics {
     pub warm_hints: AtomicU64,
     /// Peak depth of the bounded job queue.
     pub queue_peak: AtomicU64,
-    /// Branch-and-bound nodes explored across all executed solves.
-    pub solver_nodes: AtomicU64,
-    /// Simplex iterations spent across all executed solves.
-    pub solver_lp_iters: AtomicU64,
-    /// Warm-restart attempts (nodes that carried a parent basis) across
-    /// all executed solves.
-    pub solver_warm_attempts: AtomicU64,
-    /// Warm-restart hits (no from-scratch fallback) across all solves.
-    pub solver_warm_hits: AtomicU64,
-    /// Basis refactorizations across all executed solves.
-    pub solver_refactors: AtomicU64,
-    /// Root-stage wall-clock (µs) across all executed solves.
-    pub solver_root_us: AtomicU64,
-    /// Root-LP simplex iterations across all executed solves.
-    pub solver_root_lp_iters: AtomicU64,
-    /// Root cutting planes appended across all executed solves.
-    pub solver_cuts_added: AtomicU64,
     /// Solves whose netlist equivalence was proved exhaustively.
     pub verdict_proved: AtomicU64,
     /// Solves whose netlist passed the sampled equivalence check.
@@ -126,6 +87,7 @@ pub struct ServiceMetrics {
     /// Requests answered from the precomputed design mart (recency-neutral:
     /// these never touch the LRU cache or the solver).
     pub mart_hits: AtomicU64,
+    solver: Mutex<SolveCounters>,
     latency: Mutex<BTreeMap<String, RungLatency>>,
 }
 
@@ -142,25 +104,21 @@ impl ServiceMetrics {
         self.queue_peak.fetch_max(depth as u64, Ordering::Relaxed);
     }
 
-    /// Accumulates one solve's branch-and-bound telemetry (nodes explored,
-    /// simplex iterations, warm-restart attempts/hits, and basis
-    /// refactorizations) into the service-wide totals.
-    pub fn record_solver(&self, stats: SolverSample) {
-        self.solver_nodes.fetch_add(stats.nodes, Ordering::Relaxed);
-        self.solver_lp_iters
-            .fetch_add(stats.lp_iters, Ordering::Relaxed);
-        self.solver_warm_attempts
-            .fetch_add(stats.warm_attempts, Ordering::Relaxed);
-        self.solver_warm_hits
-            .fetch_add(stats.warm_hits, Ordering::Relaxed);
-        self.solver_refactors
-            .fetch_add(stats.refactors, Ordering::Relaxed);
-        self.solver_root_us
-            .fetch_add(stats.root_us, Ordering::Relaxed);
-        self.solver_root_lp_iters
-            .fetch_add(stats.root_lp_iters, Ordering::Relaxed);
-        self.solver_cuts_added
-            .fetch_add(stats.cuts_added, Ordering::Relaxed);
+    /// Adds one executed solve's counters to the service-wide totals, and
+    /// its equivalence check's wall-clock to the `verify` latency row.
+    pub fn record_solver(&self, counters: &SolveCounters) {
+        self.solver
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .absorb(counters);
+        if let Some(took) = counters.verify_time() {
+            self.record_latency("verify", took);
+        }
+    }
+
+    /// The counters summed over every executed solve.
+    pub fn solver_totals(&self) -> SolveCounters {
+        *self.solver.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Counts one solve's equivalence verdict toward the per-tier totals.
@@ -209,22 +167,8 @@ pub struct MetricsReport {
     pub warm_hints: u64,
     /// Peak job-queue depth.
     pub queue_peak: u64,
-    /// Branch-and-bound nodes explored across all executed solves.
-    pub solver_nodes: u64,
-    /// Simplex iterations spent across all executed solves.
-    pub solver_lp_iters: u64,
-    /// Warm-restart attempts across all executed solves.
-    pub solver_warm_attempts: u64,
-    /// Warm-restart hits across all executed solves.
-    pub solver_warm_hits: u64,
-    /// Basis refactorizations across all executed solves.
-    pub solver_refactors: u64,
-    /// Root-stage wall-clock (µs) across all executed solves.
-    pub solver_root_us: u64,
-    /// Root-LP simplex iterations across all executed solves.
-    pub solver_root_lp_iters: u64,
-    /// Root cutting planes appended across all executed solves.
-    pub solver_cuts_added: u64,
+    /// The solve counters summed over every executed solve.
+    pub solver: SolveCounters,
     /// Solves with an exhaustively proved equivalence verdict.
     pub verdict_proved: u64,
     /// Solves with a sampled (tested) equivalence verdict.
@@ -270,25 +214,11 @@ impl MetricsReport {
         }
     }
 
-    /// Warm-restart hit rate across all executed solves (0 when no
-    /// restart was attempted).
-    pub fn warm_restart_rate(&self) -> f64 {
-        if self.solver_warm_attempts == 0 {
-            0.0
-        } else {
-            self.solver_warm_hits as f64 / self.solver_warm_attempts as f64
-        }
-    }
-
-    /// Average simplex pivots per branch-and-bound node.
-    pub fn pivots_per_node(&self) -> f64 {
-        self.solver_lp_iters as f64 / self.solver_nodes.max(1) as f64
-    }
-
     /// Renders the report in the Prometheus text exposition format
     /// (version 0.0.4), served by `GET /metrics`. Counters become
-    /// `gomil_*_total`, gauges keep their name, and each per-rung
-    /// histogram becomes a `gomil_rung_latency_ms` histogram family with a
+    /// `gomil_*_total` (each solve counter `gomil_<name>_total`), gauges
+    /// keep their name, and each per-rung histogram becomes a
+    /// `gomil_rung_latency_ms` histogram family with a
     /// `rung` label — [`LATENCY_BUCKETS`] already uses Prometheus's
     /// inclusive-`le` convention, so the cumulative buckets here are a
     /// running sum, with the final open bucket rendered as `le="+Inf"`.
@@ -340,16 +270,9 @@ impl MetricsReport {
             "Solves offered a warm-start hint.",
             self.warm_hints,
         );
-        counter(
-            "gomil_solver_nodes_total",
-            "Branch-and-bound nodes explored.",
-            self.solver_nodes,
-        );
-        counter(
-            "gomil_solver_lp_iters_total",
-            "Simplex iterations spent.",
-            self.solver_lp_iters,
-        );
+        for (name, help, value) in self.solver.iter() {
+            counter(&format!("gomil_{name}_total"), help, value);
+        }
         counter(
             "gomil_verify_rejected_total",
             "Outcomes refused by the verdict admission gate.",
@@ -444,25 +367,14 @@ impl fmt::Display for MetricsReport {
             "dedup joins {:>3}   warm-start hints {:>3}   queue peak {:>4}   cached {:>4}",
             self.dedup_joins, self.warm_hints, self.queue_peak, self.cache_len
         )?;
+        for (_, help, value) in self.solver.iter() {
+            writeln!(f, "{value:>12}  {help}")?;
+        }
         writeln!(
             f,
-            "B&B nodes {:>9}   simplex iterations {:>11}   ({:.1} pivots/node)",
-            self.solver_nodes,
-            self.solver_lp_iters,
-            self.pivots_per_node()
-        )?;
-        writeln!(
-            f,
-            "warm restarts {:>5}/{:<5} ({:>5.1}% hit)   refactorizations {:>6}",
-            self.solver_warm_hits,
-            self.solver_warm_attempts,
-            100.0 * self.warm_restart_rate(),
-            self.solver_refactors
-        )?;
-        writeln!(
-            f,
-            "root stage {:>9}µs   root LP iterations {:>9}   cuts added {:>6}",
-            self.solver_root_us, self.solver_root_lp_iters, self.solver_cuts_added
+            "{:>12.1}  pivots per node; warm restarts {:.1}% hit",
+            self.solver.pivots_per_node(),
+            100.0 * self.solver.warm_hit_rate()
         )?;
         writeln!(
             f,
@@ -546,37 +458,31 @@ mod tests {
         assert_eq!(h.count, 8);
     }
 
+    /// Counters with a distinct value each, set by name.
+    fn distinct_counters(base: u64) -> SolveCounters {
+        let mut c = SolveCounters::default();
+        for (i, (name, _, _)) in SolveCounters::default().iter().enumerate() {
+            assert!(c.set(name, base + i as u64));
+        }
+        c
+    }
+
     #[test]
     fn solver_counters_accumulate_across_solves() {
         let m = ServiceMetrics::default();
-        m.record_solver(SolverSample {
-            nodes: 120,
-            lp_iters: 4_500,
-            warm_attempts: 100,
-            warm_hits: 90,
-            refactors: 7,
-            root_us: 900,
-            root_lp_iters: 60,
-            cuts_added: 4,
-        });
-        m.record_solver(SolverSample {
-            nodes: 3,
-            lp_iters: 80,
-            warm_attempts: 2,
-            warm_hits: 1,
-            refactors: 1,
-            root_us: 100,
-            root_lp_iters: 12,
-            cuts_added: 0,
-        });
-        assert_eq!(m.solver_nodes.load(Ordering::Relaxed), 123);
-        assert_eq!(m.solver_lp_iters.load(Ordering::Relaxed), 4_580);
-        assert_eq!(m.solver_warm_attempts.load(Ordering::Relaxed), 102);
-        assert_eq!(m.solver_warm_hits.load(Ordering::Relaxed), 91);
-        assert_eq!(m.solver_refactors.load(Ordering::Relaxed), 8);
-        assert_eq!(m.solver_root_us.load(Ordering::Relaxed), 1_000);
-        assert_eq!(m.solver_root_lp_iters.load(Ordering::Relaxed), 72);
-        assert_eq!(m.solver_cuts_added.load(Ordering::Relaxed), 4);
+        let (a, b) = (distinct_counters(100), distinct_counters(7));
+        m.record_solver(&a);
+        m.record_solver(&b);
+        let totals = m.solver_totals();
+        for ((name, _, total), ((_, _, x), (_, _, y))) in totals.iter().zip(a.iter().zip(b.iter()))
+        {
+            assert_eq!(total, x + y, "{name}");
+        }
+        // Each solve's verification time is one `verify` latency sample.
+        assert!(m
+            .latency_snapshot()
+            .iter()
+            .any(|(rung, h)| rung == "verify" && h.count == 2));
     }
 
     #[test]
@@ -594,81 +500,8 @@ mod tests {
         assert_eq!(m.verify_rejected.load(Ordering::Relaxed), 0);
     }
 
-    #[test]
-    fn report_renders_every_counter() {
-        let m = ServiceMetrics::default();
-        m.requests.store(10, Ordering::Relaxed);
-        m.record_latency("joint-ilp", Duration::from_millis(3));
-        m.record_latency("cache-hit", Duration::from_micros(20));
-        m.note_queue_depth(7);
-        m.note_queue_depth(3); // must not lower the peak
-        let report = MetricsReport {
-            requests: 10,
-            hits: 4,
-            misses: 6,
-            evictions: 1,
-            dedup_joins: 2,
-            solves: 6,
-            degraded: 1,
-            errors: 0,
-            warm_hints: 3,
-            queue_peak: m.queue_peak.load(Ordering::Relaxed),
-            solver_nodes: 123,
-            solver_lp_iters: 4_580,
-            solver_warm_attempts: 102,
-            solver_warm_hits: 91,
-            solver_refactors: 8,
-            solver_root_us: 1_000,
-            solver_root_lp_iters: 72,
-            solver_cuts_added: 4,
-            verdict_proved: 4,
-            verdict_tested: 1,
-            verdict_failed: 0,
-            verdict_skipped: 1,
-            verify_rejected: 1,
-            shed: 9,
-            deadline_cancelled: 2,
-            mart_hits: 3,
-            mart_entries: 12,
-            cache_len: 5,
-            per_rung: m.latency_snapshot(),
-        };
-        assert_eq!(report.queue_peak, 7);
-        assert!((report.mart_coverage() - 0.3).abs() < 1e-12);
-        assert!((report.hit_rate() - 0.4).abs() < 1e-12);
-        assert!((report.warm_restart_rate() - 91.0 / 102.0).abs() < 1e-12);
-        assert!((report.pivots_per_node() - 4_580.0 / 123.0).abs() < 1e-12);
-        let text = report.to_string();
-        for needle in [
-            "hits",
-            "dedup joins",
-            "joint-ilp",
-            "cache-hit",
-            "queue peak",
-            "B&B nodes",
-            "simplex iterations",
-            "warm restarts",
-            "refactorizations",
-            "root stage",
-            "root LP iterations",
-            "cuts added",
-            "verdicts:",
-            "gate-rejected",
-            "admission:",
-            "deadline-cancelled",
-            "mart:",
-        ] {
-            assert!(text.contains(needle), "missing {needle} in:\n{text}");
-        }
-    }
-
-    #[test]
-    fn prometheus_exposition_is_cumulative_and_labelled() {
-        let m = ServiceMetrics::default();
-        m.record_latency("joint-ilp", Duration::from_millis(3));
-        m.record_latency("joint-ilp", Duration::from_millis(50));
-        m.record_latency("joint-ilp", Duration::from_secs(50));
-        let report = MetricsReport {
+    fn sample_report(per_rung: Vec<(String, RungLatency)>) -> MetricsReport {
+        MetricsReport {
             requests: 10,
             hits: 4,
             misses: 6,
@@ -679,14 +512,7 @@ mod tests {
             errors: 0,
             warm_hints: 3,
             queue_peak: 7,
-            solver_nodes: 123,
-            solver_lp_iters: 4_580,
-            solver_warm_attempts: 102,
-            solver_warm_hits: 91,
-            solver_refactors: 8,
-            solver_root_us: 1_000,
-            solver_root_lp_iters: 72,
-            solver_cuts_added: 4,
+            solver: distinct_counters(1_000),
             verdict_proved: 4,
             verdict_tested: 1,
             verdict_failed: 0,
@@ -697,8 +523,54 @@ mod tests {
             mart_hits: 3,
             mart_entries: 12,
             cache_len: 5,
-            per_rung: m.latency_snapshot(),
-        };
+            per_rung,
+        }
+    }
+
+    #[test]
+    fn report_renders_every_counter() {
+        let m = ServiceMetrics::default();
+        m.record_latency("joint-ilp", Duration::from_millis(3));
+        m.record_latency("cache-hit", Duration::from_micros(20));
+        m.note_queue_depth(7);
+        m.note_queue_depth(3); // must not lower the peak
+        assert_eq!(m.queue_peak.load(Ordering::Relaxed), 7);
+        let report = sample_report(m.latency_snapshot());
+        assert!((report.mart_coverage() - 0.3).abs() < 1e-12);
+        assert!((report.hit_rate() - 0.4).abs() < 1e-12);
+        let text = report.to_string();
+        for needle in [
+            "hits",
+            "dedup joins",
+            "joint-ilp",
+            "cache-hit",
+            "queue peak",
+            "pivots per node",
+            "warm restarts",
+            "verdicts:",
+            "gate-rejected",
+            "admission:",
+            "deadline-cancelled",
+            "mart:",
+        ] {
+            assert!(text.contains(needle), "missing {needle} in:\n{text}");
+        }
+        for (name, help, value) in report.solver.iter() {
+            let row = format!("{value:>12}  {help}");
+            assert!(
+                text.contains(&row),
+                "missing {name} row {row:?} in:\n{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn prometheus_exposition_is_cumulative_and_labelled() {
+        let m = ServiceMetrics::default();
+        m.record_latency("joint-ilp", Duration::from_millis(3));
+        m.record_latency("joint-ilp", Duration::from_millis(50));
+        m.record_latency("joint-ilp", Duration::from_secs(50));
+        let report = sample_report(m.latency_snapshot());
         let text = report.to_prometheus();
         for needle in [
             "gomil_requests_total 10",
@@ -709,6 +581,7 @@ mod tests {
             "gomil_mart_hits_total 3",
             "gomil_mart_entries 12",
             "gomil_mart_coverage 0.3",
+            "# TYPE gomil_solver_nodes_total counter",
             // Cumulative buckets: 1 sample ≤10ms, 2 ≤100ms, still 2 at
             // ≤1000/≤10000, all 3 at +Inf.
             "gomil_rung_latency_ms_bucket{rung=\"joint-ilp\",le=\"10\"} 1",
@@ -718,6 +591,10 @@ mod tests {
             "gomil_rung_latency_ms_count{rung=\"joint-ilp\"} 3",
         ] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
+        }
+        for (name, _, value) in report.solver.iter() {
+            let line = format!("gomil_{name}_total {value}\n");
+            assert!(text.contains(&line), "missing {line:?} in:\n{text}");
         }
         // Every non-comment line is `name{labels} value` with a parseable
         // float value — the shape a Prometheus scraper requires.

@@ -3,6 +3,84 @@
 use gomil_arith::PpgKind;
 use gomil_netlist::{DesignMetrics, VerdictTier};
 use std::fmt;
+use std::fmt::Write as _;
+use std::time::Duration;
+
+/// Declares [`SolveCounters`] from one list of `name: "help"` pairs. The
+/// list is the only place a counter is declared: the struct, the by-name
+/// iterator and setter, and `absorb` are all generated from it, and every
+/// consumer (persisted line, JSON reply, service totals, `/metrics`)
+/// iterates it.
+macro_rules! solve_counters {
+    ($($name:ident: $help:literal,)*) => {
+        /// The per-solve effort counters a [`ServeOutcome`] carries: zero
+        /// for whatever the winning rung did not run (a non-ILP rung has
+        /// no branch-and-bound counters, a skipped verdict simulated no
+        /// vectors).
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+        pub struct SolveCounters {
+            $(#[doc = $help] pub $name: u64,)*
+        }
+
+        impl SolveCounters {
+            /// `(name, help, value)` of every counter, in declaration order.
+            pub fn iter(&self) -> impl Iterator<Item = (&'static str, &'static str, u64)> {
+                [$((stringify!($name), $help, self.$name)),*].into_iter()
+            }
+
+            /// Sets the counter called `name`; `false` when there is none.
+            pub fn set(&mut self, name: &str, value: u64) -> bool {
+                match name {
+                    $(stringify!($name) => self.$name = value,)*
+                    _ => return false,
+                }
+                true
+            }
+
+            /// Adds every counter of `other` into `self`.
+            pub fn absorb(&mut self, other: &SolveCounters) {
+                $(self.$name += other.$name;)*
+            }
+        }
+    };
+}
+
+solve_counters! {
+    solver_nodes: "Branch-and-bound nodes explored.",
+    solver_lp_iters: "Simplex iterations spent.",
+    solver_warm_attempts: "Warm restarts attempted (nodes that carried a parent basis).",
+    solver_warm_hits: "Warm restarts that reoptimized without a from-scratch fallback.",
+    solver_refactors: "Basis refactorizations (eta-file rebuilds).",
+    verify_vectors: "Operand pairs the equivalence verifier simulated.",
+    verify_us: "Equivalence verification wall-clock in microseconds.",
+    root_us: "Root-stage wall-clock in microseconds (build, presolve, root LP, cuts).",
+    root_lp_iters: "Simplex iterations of the root LP alone.",
+    cuts_added: "Cutting planes appended at the root.",
+}
+
+/// Figures derived from the counters.
+impl SolveCounters {
+    /// Average simplex pivots per branch-and-bound node.
+    pub fn pivots_per_node(&self) -> f64 {
+        self.solver_lp_iters as f64 / self.solver_nodes.max(1) as f64
+    }
+
+    /// Share of warm-restart attempts that hit (0 when none was made).
+    pub fn warm_hit_rate(&self) -> f64 {
+        if self.solver_warm_attempts == 0 {
+            0.0
+        } else {
+            self.solver_warm_hits as f64 / self.solver_warm_attempts as f64
+        }
+    }
+
+    /// The equivalence check's wall-clock, the service's `verify` latency
+    /// sample (`None` when no check ran).
+    pub fn verify_time(&self) -> Option<Duration> {
+        (self.verify_us > 0).then(|| Duration::from_micros(self.verify_us))
+    }
+}
 
 /// Everything the service returns (and persists) for one request: the
 /// measured quality-of-results plus the optimizer provenance.
@@ -36,58 +114,32 @@ pub struct ServeOutcome {
     /// Final BCV column counts (LSB first, entries 1 or 2) — the incumbent
     /// profile offered to neighbor requests as a warm start.
     pub vs_counts: Vec<u32>,
-    /// Branch-and-bound nodes the winning ILP rung explored (0 when a
-    /// non-ILP rung won, or for records persisted before telemetry).
-    pub solver_nodes: u64,
-    /// Simplex iterations the winning ILP rung spent (0 when a non-ILP
-    /// rung won, or for records persisted before telemetry).
-    pub solver_lp_iters: u64,
     /// Final relative MIP gap of the winning ILP rung (0 for a proved
-    /// optimum, non-ILP rungs, or pre-telemetry records). A root-only
-    /// solve with no dual bound yet has an *infinite* gap, which the wire
-    /// format carries as the explicit sentinel `inf` — distinguishable
-    /// from both 0 and a missing field.
+    /// optimum or a non-ILP rung). A root-only solve with no dual bound
+    /// yet has an *infinite* gap, which the wire format carries as the
+    /// explicit sentinel `inf` — distinguishable from both 0 and a
+    /// missing field.
     pub solver_gap: f64,
-    /// Warm-restart attempts: nodes that carried a parent basis into the
-    /// dual simplex (0 for non-ILP rungs or pre-telemetry records).
-    pub solver_warm_attempts: u64,
-    /// Warm-restart hits: attempts that reoptimized without a from-scratch
-    /// primal fallback (0 for non-ILP rungs or pre-telemetry records).
-    pub solver_warm_hits: u64,
-    /// Basis refactorizations (eta-file rebuilds) the winning ILP rung
-    /// performed (0 for non-ILP rungs or pre-telemetry records).
-    pub solver_refactors: u64,
-    /// Equivalence-verdict tier of the emitted netlist (`Skipped` for
-    /// records persisted before the verification gate existed).
+    /// Equivalence-verdict tier of the emitted netlist.
     pub verdict: VerdictTier,
-    /// Operand pairs the verifier simulated (0 for skipped verdicts and
-    /// pre-verification records).
-    pub verify_vectors: u64,
-    /// Verification wall-clock in microseconds (0 for skipped verdicts
-    /// and pre-verification records).
-    pub verify_us: u64,
-    /// Root-stage wall-clock of the winning ILP rung in microseconds:
-    /// model build + presolve + root LP + cut separation (0 for non-ILP
-    /// rungs or pre-root-profile records).
-    pub root_us: u64,
-    /// Simplex iterations of the root LP alone (0 for non-ILP rungs or
-    /// pre-root-profile records).
-    pub root_lp_iters: u64,
-    /// Cutting planes appended at the root (0 when cuts were off, a
-    /// non-ILP rung won, or the record predates root profiles).
-    pub cuts_added: u64,
     /// Incumbent-improvement timeline of the winning ILP rung: one
     /// `(microseconds from solve start, objective)` pair per admitted
-    /// improvement, in admission order (empty for non-ILP rungs and
-    /// pre-timeline records). This is what `POST /solve?stream=1` replays
-    /// as chunked progress events.
+    /// improvement, in admission order (empty for non-ILP rungs). This is
+    /// what `POST /solve?stream=1` replays as chunked progress events.
     pub improvements: Vec<(u64, f64)>,
+    /// The solve's effort counters.
+    pub counters: SolveCounters,
 }
 
+/// Positional fields of a [`ServeOutcome::to_line`] record; the counters
+/// follow as `name=value` fields.
+const LINE_FIELDS: usize = 15;
+
 impl ServeOutcome {
-    /// Serializes to one tab-separated line (field order is the struct
-    /// order; floats use Rust's shortest-roundtrip formatting, so
-    /// [`from_line`](Self::from_line) reproduces them bit-exactly).
+    /// Serializes to one tab-separated line: the fifteen positional fields
+    /// in struct order (the metrics as three), then one `name=value` field
+    /// per counter. Floats use Rust's shortest-roundtrip formatting, so
+    /// [`from_line`](Self::from_line) reproduces them bit-exactly.
     pub fn to_line(&self) -> String {
         let counts: Vec<String> = self.vs_counts.iter().map(u32::to_string).collect();
         let improvements: Vec<String> = self
@@ -95,8 +147,8 @@ impl ServeOutcome {
             .iter()
             .map(|(at_us, obj)| format!("{at_us}:{obj}"))
             .collect();
-        format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+        let mut line = format!(
+            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
             self.name.replace(['\t', '\n'], " "),
             self.m,
             self.ppg.label(),
@@ -109,35 +161,23 @@ impl ServeOutcome {
             self.objective,
             self.degraded,
             counts.join(","),
-            self.solver_nodes,
-            self.solver_lp_iters,
             self.solver_gap,
-            self.solver_warm_attempts,
-            self.solver_warm_hits,
-            self.solver_refactors,
             self.verdict.label(),
-            self.verify_vectors,
-            self.verify_us,
-            self.root_us,
-            self.root_lp_iters,
-            self.cuts_added,
             improvements.join(","),
-        )
+        );
+        for (name, _, value) in self.counters.iter() {
+            let _ = write!(line, "\t{name}={value}");
+        }
+        line
     }
 
     /// Parses a [`to_line`](Self::to_line) record; `None` on any malformed
-    /// field (a corrupted persisted entry is skipped, not fatal). Accepts
-    /// the current 25-field format plus the five legacy ones: 24 fields
-    /// (before incumbent timelines), 21 fields (before root-LP profiles),
-    /// 18 fields (before verification verdicts), 15 fields (before
-    /// warm-restart telemetry) and 12 fields (before any solver
-    /// telemetry), defaulting the missing verdict to `Skipped` and missing
-    /// counters and timelines to empty.
+    /// field (a corrupted persisted entry is skipped, not fatal). Counters
+    /// are filled by name: a counter the line does not carry stays 0, and
+    /// an unknown name or a malformed value rejects the line.
     pub fn from_line(line: &str) -> Option<ServeOutcome> {
         let f: Vec<&str> = line.split('\t').collect();
-        if ![12, 15, 18, 21, 24, 25].contains(&f.len()) {
-            return None;
-        }
+        let (f, pairs) = f.split_at_checked(LINE_FIELDS)?;
         let vs_counts = if f[11].is_empty() {
             Vec::new()
         } else {
@@ -146,53 +186,24 @@ impl ServeOutcome {
                 .map(|c| c.parse::<u32>().ok())
                 .collect::<Option<Vec<u32>>>()?
         };
-        let (solver_nodes, solver_lp_iters, solver_gap) = if f.len() >= 15 {
-            (
-                f[12].parse().ok()?,
-                f[13].parse().ok()?,
-                f[14].parse().ok()?,
-            )
+        let improvements = if f[14].is_empty() {
+            Vec::new()
         } else {
-            (0, 0, 0.0)
-        };
-        let (solver_warm_attempts, solver_warm_hits, solver_refactors) = if f.len() >= 18 {
-            (
-                f[15].parse().ok()?,
-                f[16].parse().ok()?,
-                f[17].parse().ok()?,
-            )
-        } else {
-            (0, 0, 0)
-        };
-        let (verdict, verify_vectors, verify_us) = if f.len() >= 21 {
-            (
-                VerdictTier::from_label(f[18])?,
-                f[19].parse().ok()?,
-                f[20].parse().ok()?,
-            )
-        } else {
-            (VerdictTier::Skipped, 0, 0)
-        };
-        let (root_us, root_lp_iters, cuts_added) = if f.len() >= 24 {
-            (
-                f[21].parse().ok()?,
-                f[22].parse().ok()?,
-                f[23].parse().ok()?,
-            )
-        } else {
-            (0, 0, 0)
-        };
-        let improvements = if f.len() == 25 && !f[24].is_empty() {
-            f[24]
+            f[14]
                 .split(',')
                 .map(|pair| {
                     let (at_us, obj) = pair.split_once(':')?;
                     Some((at_us.parse::<u64>().ok()?, obj.parse::<f64>().ok()?))
                 })
                 .collect::<Option<Vec<(u64, f64)>>>()?
-        } else {
-            Vec::new()
         };
+        let mut counters = SolveCounters::default();
+        for pair in pairs {
+            let (name, value) = pair.split_once('=')?;
+            if !counters.set(name, value.parse().ok()?) {
+                return None;
+            }
+        }
         Some(ServeOutcome {
             name: f[0].to_string(),
             m: f[1].parse().ok()?,
@@ -208,24 +219,16 @@ impl ServeOutcome {
             objective: f[9].parse().ok()?,
             degraded: f[10].parse().ok()?,
             vs_counts,
-            solver_nodes,
-            solver_lp_iters,
-            solver_gap,
-            solver_warm_attempts,
-            solver_warm_hits,
-            solver_refactors,
-            verdict,
-            verify_vectors,
-            verify_us,
-            root_us,
-            root_lp_iters,
-            cuts_added,
+            solver_gap: f[12].parse().ok()?,
+            verdict: VerdictTier::from_label(f[13])?,
+            counters,
             improvements,
         })
     }
 
     /// Serializes to a JSON object — the body of the HTTP service's
-    /// `POST /solve` and `GET /design/{fingerprint}` replies.
+    /// `POST /solve` and `GET /design/{fingerprint}` replies. Each counter
+    /// is a top-level `"name":value` member.
     ///
     /// Hand-rolled (the workspace runs offline with no `serde_json`):
     /// strings are escaped per RFC 8259, and non-finite floats — which
@@ -239,13 +242,10 @@ impl ServeOutcome {
             .iter()
             .map(|(at_us, obj)| format!("{{\"at_us\":{at_us},\"objective\":{}}}", json_f64(*obj)))
             .collect();
-        format!(
+        let mut json = format!(
             "{{\"name\":{},\"m\":{},\"ppg\":{},\"area\":{},\"delay\":{},\"power\":{},\
              \"gates\":{},\"verified\":{},\"strategy\":{},\"objective\":{},\"degraded\":{},\
-             \"vs_counts\":[{}],\"solver_nodes\":{},\"solver_lp_iters\":{},\"solver_gap\":{},\
-             \"solver_warm_attempts\":{},\"solver_warm_hits\":{},\"solver_refactors\":{},\
-             \"verdict\":{},\"verify_vectors\":{},\"verify_us\":{},\"root_us\":{},\
-             \"root_lp_iters\":{},\"cuts_added\":{},\"improvements\":[{}]}}",
+             \"vs_counts\":[{}],\"solver_gap\":{},\"verdict\":{},",
             json_string(&self.name),
             self.m,
             json_string(self.ppg.label()),
@@ -258,20 +258,14 @@ impl ServeOutcome {
             json_f64(self.objective),
             self.degraded,
             counts.join(","),
-            self.solver_nodes,
-            self.solver_lp_iters,
             json_f64(self.solver_gap),
-            self.solver_warm_attempts,
-            self.solver_warm_hits,
-            self.solver_refactors,
             json_string(self.verdict.label()),
-            self.verify_vectors,
-            self.verify_us,
-            self.root_us,
-            self.root_lp_iters,
-            self.cuts_added,
-            improvements.join(","),
-        )
+        );
+        for (name, _, value) in self.counters.iter() {
+            let _ = write!(json, "\"{name}\":{value},");
+        }
+        let _ = write!(json, "\"improvements\":[{}]}}", improvements.join(","));
+        json
     }
 }
 
@@ -346,20 +340,20 @@ mod tests {
             objective: 456.125,
             degraded: false,
             vs_counts: vec![1, 2, 2, 1],
-            solver_nodes: 42,
-            solver_lp_iters: 1_337,
             solver_gap: 0.0625,
-            solver_warm_attempts: 40,
-            solver_warm_hits: 36,
-            solver_refactors: 9,
             verdict: VerdictTier::Proved,
-            verify_vectors: 65_536,
-            verify_us: 4_200,
-            root_us: 12_500,
-            root_lp_iters: 96,
-            cuts_added: 5,
             improvements: vec![(1_500, 512.5), (9_000, 456.125)],
+            counters: distinct_counters(),
         }
+    }
+
+    /// Every counter set, by name, to a value no other counter has.
+    fn distinct_counters() -> SolveCounters {
+        let mut c = SolveCounters::default();
+        for (i, (name, _, _)) in SolveCounters::default().iter().enumerate() {
+            assert!(c.set(name, 40 + i as u64), "{name} is settable by name");
+        }
+        c
     }
 
     #[test]
@@ -372,84 +366,43 @@ mod tests {
     }
 
     #[test]
-    fn legacy_twelve_field_lines_parse_with_zero_telemetry() {
-        let line = sample().to_line();
-        let legacy: Vec<&str> = line.split('\t').take(12).collect();
-        let back = ServeOutcome::from_line(&legacy.join("\t")).unwrap();
-        assert_eq!(back.name, "GOMIL-AND-8");
-        assert_eq!(back.vs_counts, vec![1, 2, 2, 1]);
-        assert_eq!(back.solver_nodes, 0);
-        assert_eq!(back.solver_lp_iters, 0);
-        assert_eq!(back.solver_gap, 0.0);
-        assert_eq!(back.solver_warm_attempts, 0);
-        assert_eq!(back.solver_warm_hits, 0);
-        assert_eq!(back.solver_refactors, 0);
-        assert_eq!(back.verdict, VerdictTier::Skipped);
-        assert_eq!(back.verify_vectors, 0);
+    fn counters_are_addressed_by_name_and_absorb() {
+        let c = distinct_counters();
+        let mut names = std::collections::BTreeSet::new();
+        for (name, _, value) in c.iter() {
+            assert!(names.insert(name), "{name} is declared once");
+            assert!(value >= 40, "{name} was set by name");
+        }
+        let mut total = c;
+        assert!(!total.set("no_such_counter", 1));
+        total.absorb(&c);
+        for ((name, _, once), (_, _, twice)) in c.iter().zip(total.iter()) {
+            assert_eq!(twice, 2 * once, "{name} absorbs");
+        }
+        let c = SolveCounters {
+            solver_nodes: 42,
+            solver_lp_iters: 1_337,
+            solver_warm_attempts: 40,
+            solver_warm_hits: 36,
+            ..SolveCounters::default()
+        };
+        assert!((c.warm_hit_rate() - 36.0 / 40.0).abs() < 1e-12);
+        assert!((c.pivots_per_node() - 1_337.0 / 42.0).abs() < 1e-12);
+        assert_eq!(SolveCounters::default().warm_hit_rate(), 0.0);
+        assert_eq!(SolveCounters::default().verify_time(), None);
     }
 
     #[test]
-    fn legacy_fifteen_field_lines_parse_with_zero_warm_telemetry() {
+    fn lines_carry_every_counter_and_the_incumbent_timeline() {
         let line = sample().to_line();
-        let legacy: Vec<&str> = line.split('\t').take(15).collect();
-        let back = ServeOutcome::from_line(&legacy.join("\t")).unwrap();
-        assert_eq!(back.solver_nodes, 42);
-        assert_eq!(back.solver_lp_iters, 1_337);
-        assert_eq!(back.solver_gap, 0.0625);
-        assert_eq!(back.solver_warm_attempts, 0);
-        assert_eq!(back.solver_warm_hits, 0);
-        assert_eq!(back.solver_refactors, 0);
-        assert_eq!(back.verdict, VerdictTier::Skipped);
-    }
-
-    #[test]
-    fn legacy_eighteen_field_lines_parse_with_a_skipped_verdict() {
-        let line = sample().to_line();
-        let legacy: Vec<&str> = line.split('\t').take(18).collect();
-        let back = ServeOutcome::from_line(&legacy.join("\t")).unwrap();
-        assert_eq!(back.solver_warm_attempts, 40);
-        assert_eq!(back.solver_warm_hits, 36);
-        assert_eq!(back.solver_refactors, 9);
-        assert_eq!(back.verdict, VerdictTier::Skipped);
-        assert_eq!(back.verify_vectors, 0);
-        assert_eq!(back.verify_us, 0);
-    }
-
-    #[test]
-    fn legacy_twentyone_field_lines_parse_with_zero_root_profile() {
-        let line = sample().to_line();
-        let legacy: Vec<&str> = line.split('\t').take(21).collect();
-        let back = ServeOutcome::from_line(&legacy.join("\t")).unwrap();
-        assert_eq!(back.verdict, VerdictTier::Proved);
-        assert_eq!(back.verify_vectors, 65_536);
-        assert_eq!(back.verify_us, 4_200);
-        assert_eq!(back.root_us, 0);
-        assert_eq!(back.root_lp_iters, 0);
-        assert_eq!(back.cuts_added, 0);
-    }
-
-    #[test]
-    fn legacy_twentyfour_field_lines_parse_with_an_empty_timeline() {
-        let line = sample().to_line();
-        let legacy: Vec<&str> = line.split('\t').take(24).collect();
-        let back = ServeOutcome::from_line(&legacy.join("\t")).unwrap();
-        assert_eq!(back.root_us, 12_500);
-        assert_eq!(back.root_lp_iters, 96);
-        assert_eq!(back.cuts_added, 5);
-        assert!(back.improvements.is_empty());
-    }
-
-    #[test]
-    fn current_lines_carry_the_incumbent_timeline() {
-        let line = sample().to_line();
-        assert_eq!(line.split('\t').count(), 25);
+        for (name, _, value) in sample().counters.iter() {
+            assert!(
+                line.contains(&format!("\t{name}={value}")),
+                "{name} in {line}"
+            );
+        }
         let back = ServeOutcome::from_line(&line).unwrap();
         assert_eq!(back.verdict, VerdictTier::Proved);
-        assert_eq!(back.verify_vectors, 65_536);
-        assert_eq!(back.verify_us, 4_200);
-        assert_eq!(back.root_us, 12_500);
-        assert_eq!(back.root_lp_iters, 96);
-        assert_eq!(back.cuts_added, 5);
         assert_eq!(back.improvements, vec![(1_500, 512.5), (9_000, 456.125)]);
         // An empty timeline roundtrips as an empty field, not a parse error.
         let mut o = sample();
@@ -474,6 +427,12 @@ mod tests {
         assert!(json.contains("\"verdict\":\"proved\""));
         assert!(json.contains("\"improvements\":[{\"at_us\":1500,\"objective\":512.5}"));
         assert!(json.contains("\"vs_counts\":[1,2,2,1]"));
+        for (name, _, value) in o.counters.iter() {
+            assert!(
+                json.contains(&format!("\"{name}\":{value},")),
+                "{name} in {json}"
+            );
+        }
         assert!(!json.contains('\n'), "JSON body must be single-line");
     }
 
@@ -487,9 +446,9 @@ mod tests {
         o.solver_gap = f64::INFINITY;
         let line = o.to_line();
         assert!(
-            line.split('\t').nth(14) == Some("inf"),
+            line.split('\t').nth(12) == Some("inf"),
             "gap field must be the explicit sentinel, got {:?}",
-            line.split('\t').nth(14)
+            line.split('\t').nth(12)
         );
         let back = ServeOutcome::from_line(&line).unwrap();
         assert!(back.solver_gap.is_infinite() && back.solver_gap > 0.0);
@@ -501,25 +460,33 @@ mod tests {
     fn malformed_lines_are_rejected_not_fatal() {
         assert!(ServeOutcome::from_line("garbage").is_none());
         assert!(ServeOutcome::from_line("").is_none());
-        let mut truncated = sample().to_line();
+        let line = sample().to_line();
+        let mut truncated = line.clone();
         truncated.truncate(truncated.len() / 2);
         assert!(ServeOutcome::from_line(&truncated).is_none());
-        // Field counts between (or beyond) the known formats are no format.
-        let line = sample().to_line();
-        for n in [13usize, 14, 16, 17, 19, 20, 22, 23] {
-            let partial: Vec<&str> = line.split('\t').take(n).collect();
+        // Fewer than the positional fields is no record.
+        let head: Vec<&str> = line.split('\t').take(LINE_FIELDS - 1).collect();
+        assert!(ServeOutcome::from_line(&head.join("\t")).is_none());
+        // An unknown counter, a counter without a value and a malformed
+        // value each reject the line.
+        for bad in [
+            "no_such_counter=1",
+            "cuts_added",
+            "cuts_added=x",
+            "cuts_added=-1",
+        ] {
             assert!(
-                ServeOutcome::from_line(&partial.join("\t")).is_none(),
-                "{n}-field line must be rejected"
+                ServeOutcome::from_line(&format!("{line}\t{bad}")).is_none(),
+                "counter field {bad:?} must be rejected"
             );
         }
-        let overlong = format!("{line}\t0");
-        assert!(ServeOutcome::from_line(&overlong).is_none());
         // A corrupted timeline field is malformed, not silently empty.
-        let head: Vec<&str> = line.split('\t').take(24).collect();
+        let timeline = line.split('\t').nth(14).unwrap();
         for bad in ["garbage", "12:x", ":1.0", "5:1.0,7"] {
+            let corrupt = line.replacen(&format!("\t{timeline}\t"), &format!("\t{bad}\t"), 1);
+            assert_ne!(corrupt, line);
             assert!(
-                ServeOutcome::from_line(&format!("{}\t{bad}", head.join("\t"))).is_none(),
+                ServeOutcome::from_line(&corrupt).is_none(),
                 "timeline {bad:?} must be rejected"
             );
         }

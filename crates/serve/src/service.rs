@@ -3,7 +3,7 @@
 
 use crate::cache::ShardedCache;
 use crate::key::SolveKey;
-use crate::metrics::{MetricsReport, ServiceMetrics, SolverSample};
+use crate::metrics::{MetricsReport, ServiceMetrics};
 use crate::outcome::ServeOutcome;
 use crate::singleflight::SingleFlight;
 use gomil_arith::PpgKind;
@@ -16,7 +16,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One multiplier-generation request.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -485,21 +485,8 @@ impl SolveService {
         match &result {
             Ok(outcome) => {
                 self.metrics.record_latency(&outcome.strategy, took);
-                self.metrics.record_solver(SolverSample {
-                    nodes: outcome.solver_nodes,
-                    lp_iters: outcome.solver_lp_iters,
-                    warm_attempts: outcome.solver_warm_attempts,
-                    warm_hits: outcome.solver_warm_hits,
-                    refactors: outcome.solver_refactors,
-                    root_us: outcome.root_us,
-                    root_lp_iters: outcome.root_lp_iters,
-                    cuts_added: outcome.cuts_added,
-                });
+                self.metrics.record_solver(&outcome.counters);
                 self.metrics.record_verdict(outcome.verdict);
-                if outcome.verify_us > 0 {
-                    self.metrics
-                        .record_latency("verify", Duration::from_micros(outcome.verify_us));
-                }
                 if outcome.degraded {
                     self.metrics.degraded.fetch_add(1, Ordering::Relaxed);
                 } else if outcome.verified && outcome.verdict.admits(self.config.min_verdict) {
@@ -582,14 +569,7 @@ impl SolveService {
             errors: self.metrics.errors.load(Ordering::Relaxed),
             warm_hints: self.metrics.warm_hints.load(Ordering::Relaxed),
             queue_peak: self.metrics.queue_peak.load(Ordering::Relaxed),
-            solver_nodes: self.metrics.solver_nodes.load(Ordering::Relaxed),
-            solver_lp_iters: self.metrics.solver_lp_iters.load(Ordering::Relaxed),
-            solver_warm_attempts: self.metrics.solver_warm_attempts.load(Ordering::Relaxed),
-            solver_warm_hits: self.metrics.solver_warm_hits.load(Ordering::Relaxed),
-            solver_refactors: self.metrics.solver_refactors.load(Ordering::Relaxed),
-            solver_root_us: self.metrics.solver_root_us.load(Ordering::Relaxed),
-            solver_root_lp_iters: self.metrics.solver_root_lp_iters.load(Ordering::Relaxed),
-            solver_cuts_added: self.metrics.solver_cuts_added.load(Ordering::Relaxed),
+            solver: self.metrics.solver_totals(),
             verdict_proved: self.metrics.verdict_proved.load(Ordering::Relaxed),
             verdict_tested: self.metrics.verdict_tested.load(Ordering::Relaxed),
             verdict_failed: self.metrics.verdict_failed.load(Ordering::Relaxed),
@@ -608,6 +588,7 @@ impl SolveService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outcome::SolveCounters;
     use gomil_netlist::DesignMetrics;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
@@ -629,18 +610,15 @@ mod tests {
             objective: req.m as f64,
             degraded,
             vs_counts: vec![1; 2 * req.m - 1],
-            solver_nodes: 5,
-            solver_lp_iters: 40,
             solver_gap: 0.0,
-            solver_warm_attempts: 4,
-            solver_warm_hits: 3,
-            solver_refactors: 2,
             verdict: VerdictTier::Tested,
-            verify_vectors: 1_024,
-            verify_us: 150,
-            root_us: 300,
-            root_lp_iters: 12,
-            cuts_added: 1,
+            counters: SolveCounters {
+                solver_nodes: 5,
+                solver_lp_iters: 40,
+                verify_vectors: 1_024,
+                verify_us: 150,
+                ..SolveCounters::default()
+            },
             improvements: vec![(40, req.m as f64 + 1.0), (90, req.m as f64)],
         }
     }

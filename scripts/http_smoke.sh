@@ -36,14 +36,27 @@ echo "$solve" | grep -q '"verdict":"proved"' \
     || { echo "FAIL: solve reply lacks a proved verdict: $solve"; exit 1; }
 echo "    POST /solve m=8: proved"
 
+# Target search wins at m = 8, so its outcome has no branch-and-bound
+# counters; the joint ILP wins at m = 3 (in milliseconds) and has them.
+solve=$(curl -sS -X POST "http://$addr/solve" \
+    -H 'Content-Type: application/json' -d '{"m": 3, "ppg": "and"}')
+echo "$solve" | grep -q '"strategy":"joint-ilp"' \
+    || { echo "FAIL: m=3 reply is not a joint-ILP design: $solve"; exit 1; }
+echo "    POST /solve m=3: joint ILP"
+
 # /metrics must be Prometheus-parseable: every non-comment line is
-# "name[{labels}] value" with a numeric value, and the solve was counted.
+# "name[{labels}] value" with a numeric value, the solves were counted,
+# and the solve counters reached their totals.
 metrics=$(curl -sS "http://$addr/metrics")
 echo "$metrics" | grep -q '^gomil_requests_total [1-9]' \
     || { echo "FAIL: gomil_requests_total missing or zero"; exit 1; }
+echo "$metrics" | grep -q '^gomil_solver_nodes_total [1-9]' \
+    || { echo "FAIL: gomil_solver_nodes_total missing or zero"; exit 1; }
+echo "$metrics" | grep -q '^gomil_verify_vectors_total [1-9]' \
+    || { echo "FAIL: gomil_verify_vectors_total missing or zero"; exit 1; }
 bad=$(echo "$metrics" | grep -v '^#' | awk 'NF != 2 || $2 !~ /^[0-9.+eE-]+$|^inf$/ { print }')
 [ -z "$bad" ] || { echo "FAIL: unparseable metric lines:"; echo "$bad"; exit 1; }
-echo "    GET /metrics: parseable, requests counted"
+echo "    GET /metrics: parseable, requests and solve counters counted"
 
 # Graceful drain: POST /shutdown, the process must exit 0 by itself.
 curl -sS -X POST "http://$addr/shutdown" | grep -q draining \

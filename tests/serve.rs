@@ -1,14 +1,17 @@
 //! Integration tests of the `gomil-serve` layer against the real GOMIL
 //! pipeline: cache-key determinism, singleflight dedup under heavy thread
-//! fan-in, the degraded-results-are-never-cached contract, and
-//! byte-equality of cached versus fresh solves across persistence.
+//! fan-in, the degraded-results-are-never-cached contract, byte-equality
+//! of cached versus fresh solves across persistence, and every solve
+//! counter's trip through the reply, the cache, the mart and `/metrics`.
 
 use gomil::{
-    build_gomil, serve_service, DesignMetrics, GomilConfig, PpgKind, SelectStyle, ServeConfig,
-    ServeError, ServeOutcome, SolveKey, SolveRequest, SolveService, SolverFn, VerdictTier,
-    VerifyConfig, VerifyMode,
+    build_gomil, serve_service, DesignMetrics, DesignStore, GomilConfig, PpgKind, SelectStyle,
+    ServeConfig, ServeError, ServeOutcome, SolveCounters, SolveKey, SolveRequest, SolveService,
+    SolverFn, VerdictTier, VerifyConfig, VerifyMode, SOLVER_VERSION,
 };
+use gomil_httpd::Json;
 use gomil_netlist::GateKind;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -118,20 +121,20 @@ fn synthetic_outcome(req: &SolveRequest) -> ServeOutcome {
         objective: req.m as f64,
         degraded: false,
         vs_counts: vec![2; 2 * req.m - 1],
-        solver_nodes: 9,
-        solver_lp_iters: 250,
         solver_gap: 0.0,
-        solver_warm_attempts: 8,
-        solver_warm_hits: 7,
-        solver_refactors: 3,
         verdict: VerdictTier::Tested,
-        verify_vectors: 512,
-        verify_us: 90,
-        root_us: 4_200,
-        root_lp_iters: 33,
-        cuts_added: 2,
+        counters: distinct_counters(),
         improvements: vec![(40, req.m as f64 + 2.0), (90, req.m as f64)],
     }
+}
+
+/// Every declared counter set, by name, to a value no other counter has.
+fn distinct_counters() -> SolveCounters {
+    let mut counters = SolveCounters::default();
+    for (i, (name, _, _)) in SolveCounters::default().iter().enumerate() {
+        assert!(counters.set(name, 1_000 + 37 * i as u64));
+    }
+    counters
 }
 
 #[test]
@@ -437,4 +440,166 @@ fn corrupted_netlists_surface_typed_verification_errors_and_stay_uncached() {
     assert_eq!(r.errors, 1);
     assert_eq!(r.solves, 1);
     assert_eq!(r.warm_hints, 0, "no warm hint may be donated");
+}
+
+// ---------------------------------------------------------------------
+// The solve counters: declared once, every one reaches each consumer.
+// ---------------------------------------------------------------------
+
+/// The keys of the `outcome` object every `/solve` and `/design` reply
+/// carried before the counters were declared as one record.
+const OUTCOME_KEYS: [&str; 25] = [
+    "name",
+    "m",
+    "ppg",
+    "area",
+    "delay",
+    "power",
+    "gates",
+    "verified",
+    "strategy",
+    "objective",
+    "degraded",
+    "vs_counts",
+    "solver_nodes",
+    "solver_lp_iters",
+    "solver_gap",
+    "solver_warm_attempts",
+    "solver_warm_hits",
+    "solver_refactors",
+    "verdict",
+    "verify_vectors",
+    "verify_us",
+    "root_us",
+    "root_lp_iters",
+    "cuts_added",
+    "improvements",
+];
+
+/// A service whose synthetic solver counts its invocations and answers
+/// [`synthetic_outcome`], under `fingerprint`, persisting to `cache_file`.
+fn synthetic_service(
+    fingerprint: String,
+    cache_file: &std::path::Path,
+) -> (SolveService, Arc<AtomicUsize>) {
+    let invocations = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&invocations);
+    let solver: Box<SolverFn> = Box::new(move |req, _, _| {
+        counter.fetch_add(1, Ordering::SeqCst);
+        Ok(synthetic_outcome(req))
+    });
+    let config = ServeConfig {
+        cache_path: Some(cache_file.to_path_buf()),
+        ..ServeConfig::default()
+    };
+    let svc = SolveService::new(fingerprint, solver, config).unwrap();
+    (svc, invocations)
+}
+
+#[test]
+fn every_declared_counter_reaches_the_reply_cache_mart_and_metrics() {
+    let dir = std::env::temp_dir().join(format!("gomil-serve-counters-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache_file = dir.join("cache.tsv");
+    let req = SolveRequest {
+        m: 8,
+        ppg: PpgKind::And,
+    };
+    let expected = distinct_counters();
+    let (svc, _) = synthetic_service("counters".into(), &cache_file);
+    let svc = Arc::new(svc);
+    let server = gomil_httpd::Server::bind(
+        Arc::clone(&svc),
+        "127.0.0.1:0",
+        gomil_httpd::HttpdConfig::default(),
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run());
+
+    // The JSON reply: one member per counter, and today's keys besides.
+    let reply = gomil_httpd::client::post_json(&addr, "/solve", r#"{"m": 8, "ppg": "and"}"#)
+        .expect("transport must not fail");
+    assert_eq!(reply.status, 200, "{}", reply.text());
+    let body = gomil_httpd::parse_json(&reply.text()).unwrap();
+    let Some(Json::Obj(outcome)) = body.get("outcome") else {
+        panic!("reply has no outcome object: {}", reply.text());
+    };
+    let keys: BTreeSet<&str> = outcome.keys().map(String::as_str).collect();
+    let names: BTreeSet<&str> = expected.iter().map(|(name, _, _)| name).collect();
+    assert!(
+        keys.is_superset(&OUTCOME_KEYS.into_iter().collect()),
+        "a reply key went missing: {keys:?}"
+    );
+    assert!(
+        keys.iter()
+            .all(|k| OUTCOME_KEYS.contains(k) || names.contains(k)),
+        "only a declared counter may add a reply key: {keys:?}"
+    );
+    for (name, _, value) in expected.iter() {
+        assert_eq!(outcome[name].as_u64(), Some(value), "reply {name}");
+    }
+
+    // `/metrics`: one solve, so each total is that solve's value.
+    let metrics = gomil_httpd::client::request(&addr, "GET", "/metrics", &[], b"")
+        .unwrap()
+        .text();
+    for (name, _, value) in expected.iter() {
+        let line = format!("gomil_{name}_total {value}");
+        assert!(
+            metrics.lines().any(|l| l == line),
+            "missing {line} in:\n{metrics}"
+        );
+    }
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+
+    // The cache file: a fresh service loads the record and answers it
+    // without solving.
+    assert_eq!(svc.persist().unwrap(), 1);
+    let (reloaded, invocations) = synthetic_service("counters".into(), &cache_file);
+    let hit = reloaded
+        .cached(&req)
+        .expect("the persisted record is served");
+    assert_eq!(hit.counters, expected);
+    assert_eq!(invocations.load(Ordering::SeqCst), 0);
+
+    // The mart: written by the builder, read back by `Mart::load`.
+    let key = svc.key_for(&req);
+    let mart_file = dir.join("designs.mart");
+    let mut builder = gomil_mart::MartBuilder::new(SOLVER_VERSION);
+    builder.insert(&key, &hit);
+    builder.write(&mart_file).unwrap();
+    let mart = gomil_mart::Mart::load(&mart_file).unwrap();
+    assert_eq!(mart.get(&key).expect("mart entry").counters, expected);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The solver version is part of every key: a persisted record written
+/// under another solver version is never served, and the request solves.
+#[test]
+fn a_cached_record_from_another_solver_version_is_never_served() {
+    let dir = std::env::temp_dir().join(format!("gomil-serve-version-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache_file = dir.join("cache.tsv");
+    let req = SolveRequest {
+        m: 4,
+        ppg: PpgKind::And,
+    };
+    let fingerprint = GomilConfig::default().solve_fingerprint();
+    let current = format!("solver={SOLVER_VERSION}");
+    assert!(fingerprint.ends_with(&current), "{fingerprint}");
+    let older = fingerprint.replace(&current, &format!("solver={}", SOLVER_VERSION - 1));
+
+    let (old, _) = synthetic_service(older, &cache_file);
+    old.serve_one(&req).unwrap();
+    assert_eq!(old.persist().unwrap(), 1);
+
+    let (svc, invocations) = synthetic_service(fingerprint, &cache_file);
+    assert_eq!(svc.cache_len(), 1, "the v3 file itself loads");
+    assert!(svc.cached(&req).is_none(), "but its record matches no key");
+    svc.serve_one(&req).unwrap();
+    assert_eq!(invocations.load(Ordering::SeqCst), 1, "the request solves");
+    std::fs::remove_dir_all(&dir).ok();
 }
