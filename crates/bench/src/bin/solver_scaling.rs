@@ -19,9 +19,10 @@
 //!   where the root node dominates the whole budget.
 //! * **joint m=32** — the paper's Eq. 27 model at the acceptance width,
 //!   `jobs = 1` (the calling thread alone) versus more workers.
-//! * **CT m=32** — the compressor-tree ILP, which is the model the
-//!   degradation ladder actually solves at this width (the `truncated-ilp`
-//!   rung). On a multi-core host `jobs=N` explores ~N× nodes per second;
+//! * **CT m=32** — the compressor-tree ILP (Eqs. 2–9) on its own: the CT
+//!   half of the joint model, kept as a reference model for the solver.
+//!   No ladder rung solves it alone, and at this width the ladder runs no
+//!   ILP at all. On a multi-core host `jobs=N` explores ~N× nodes per second;
 //!   on a single-core host (see `host_cpus`) extra workers match one
 //!   worker within scheduling overhead.
 //! * **equality roster** — randomized MILPs sized m ∈ {8, 16, 32, 64}:

@@ -17,7 +17,7 @@ use crate::flow::{
     choose_realized_tree, finish_product, pipeline_budget, GomilDesign, MultiplierBuild,
     RegionBreakdown,
 };
-use crate::global::optimize_global_with_budget;
+use crate::global::optimize_global_hinted;
 use gomil_arith::{and_ppg, realize_schedule, BitMatrix, PpgKind};
 use gomil_netlist::Netlist;
 use gomil_prefix::{ppf_csl_sum, TwoRows};
@@ -118,7 +118,7 @@ pub fn build_gomil_truncated(
         }
     }
 
-    let solution = optimize_global_with_budget(&v0, cfg, &budget)?;
+    let solution = optimize_global_hinted(&v0, cfg, &budget, None)?;
     let reduced = realize_schedule(&mut nl, &shifted, &solution.schedule)
         .map_err(|e| GomilError::Realization(format!("{}: {e}", nl.name())))?;
     let rows = TwoRows::from_matrix(&reduced);

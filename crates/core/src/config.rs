@@ -1,6 +1,6 @@
 //! GOMIL configuration.
 
-use gomil_ilp::{CutMode, Pricing};
+use gomil_ilp::{BranchConfig, CutMode, Pricing};
 use gomil_netlist::VerifyMode;
 use gomil_prefix::SelectStyle;
 use std::time::Duration;
@@ -160,6 +160,25 @@ impl GomilConfig {
             self.verify.label(),
             crate::SOLVER_VERSION
         )
+    }
+
+    /// The branch-and-bound settings of every ILP solve under this
+    /// configuration: `solver_budget` as the time limit, and the
+    /// `solver_jobs`, `pricing`, `cuts`, `scaling` and `reduce` knobs. The
+    /// caller adds the run-time parts (the shared [`Budget`] and the warm
+    /// starts); every other field keeps its [`BranchConfig`] default.
+    ///
+    /// [`Budget`]: gomil_budget::Budget
+    pub(crate) fn branch_config(&self) -> BranchConfig {
+        BranchConfig {
+            time_limit: Some(self.solver_budget),
+            jobs: self.solver_jobs,
+            pricing: self.pricing,
+            cuts: self.cuts,
+            scaling: self.scaling,
+            reduce: self.reduce,
+            ..BranchConfig::default()
+        }
     }
 
     /// A fast configuration for tests: small budgets, fewer power vectors.

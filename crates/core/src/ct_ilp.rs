@@ -13,11 +13,8 @@
 //! total bits remain in `V_s`.
 
 use crate::config::GomilConfig;
-use crate::global::SolveStats;
 use gomil_arith::{dadda_schedule, required_stages, Bcv, CompressionSchedule, StageCounts};
-use gomil_budget::Budget;
 use gomil_ilp::{BranchConfig, Cmp, LinExpr, Model, Sense, SolveError, Var};
-use std::time::{Duration, Instant};
 
 /// Handles to the CT ILP's variables, for embedding into the global model.
 #[derive(Debug, Clone)]
@@ -37,9 +34,6 @@ pub struct CtIlp {
     pub v0: Bcv,
     /// Stage count `s`.
     pub stages: usize,
-    /// Wall-clock spent assembling the model, stamped into the root
-    /// profile of any solve run on it.
-    pub build_time: Duration,
 }
 
 impl CtIlp {
@@ -62,7 +56,6 @@ impl CtIlp {
     /// Panics if `v0` is empty or `stages == 0` while `v0` is not already
     /// reduced.
     pub fn build_with_stages(v0: &Bcv, stages: usize, cfg: &GomilConfig) -> CtIlp {
-        let t_build = Instant::now();
         let n = v0.len();
         assert!(n > 0, "initial BCV must be non-empty");
         assert!(
@@ -145,7 +138,6 @@ impl CtIlp {
             objective,
             v0: v0.clone(),
             stages,
-            build_time: t_build.elapsed(),
         }
     }
 
@@ -173,30 +165,14 @@ impl CtIlp {
         Some(values)
     }
 
-    /// Solves the CT ILP (warm-started from Dadda) and extracts the
-    /// schedule.
+    /// Solves the CT ILP (warm-started from Dadda) under
+    /// `cfg.solver_budget` and extracts the schedule.
     ///
     /// # Errors
     ///
     /// Propagates solver errors; `Infeasible` cannot occur for valid BCVs
     /// because Dadda is always a witness.
     pub fn solve(&self, cfg: &GomilConfig) -> Result<CtSolution, SolveError> {
-        self.solve_budgeted(cfg, &Budget::unlimited())
-    }
-
-    /// [`solve`](CtIlp::solve) under a shared wall-clock budget: branch and
-    /// bound stops at the earlier of `cfg.solver_budget` and the budget's
-    /// deadline, and reacts to cooperative cancellation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver errors; budget expiry without an incumbent
-    /// surfaces as [`SolveError::Limit`].
-    pub fn solve_budgeted(
-        &self,
-        cfg: &GomilConfig,
-        budget: &Budget,
-    ) -> Result<CtSolution, SolveError> {
         // Prefer a Dadda warm start; fall back to the steered generator
         // when Dadda's shape doesn't fit this model (leftmost-column use
         // or a bumped stage count on irregular profiles).
@@ -207,23 +183,14 @@ impl CtIlp {
                 .and_then(|(sched, _)| self.warm_start(&sched))
         });
         let branch = BranchConfig {
-            time_limit: Some(cfg.solver_budget),
-            budget: budget.clone(),
             initial,
-            jobs: cfg.solver_jobs,
-            pricing: cfg.pricing,
-            cuts: cfg.cuts,
-            scaling: cfg.scaling,
-            reduce: cfg.reduce,
-            ..BranchConfig::default()
+            ..cfg.branch_config()
         };
-        let mut sol = self.model.solve_with(&branch)?;
-        sol.set_build_time(self.build_time);
+        let sol = self.model.solve_with(&branch)?;
         let schedule = self.extract_schedule(sol.values());
         Ok(CtSolution {
             objective: sol.objective(),
             proven_optimal: sol.is_optimal(),
-            stats: SolveStats::from(&sol),
             schedule,
         })
     }
@@ -251,8 +218,6 @@ pub struct CtSolution {
     pub objective: f64,
     /// Whether branch and bound proved optimality within the budget.
     pub proven_optimal: bool,
-    /// Branch-and-bound statistics of the solve.
-    pub stats: SolveStats,
     /// The extracted (validated-by-construction) schedule.
     pub schedule: CompressionSchedule,
 }

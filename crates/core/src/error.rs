@@ -110,6 +110,15 @@ impl From<VerificationFailure> for GomilError {
     }
 }
 
+/// The message of a caught panic: its `&str` or `String` payload.
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

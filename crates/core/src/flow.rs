@@ -5,10 +5,8 @@
 //! multiplication.
 
 use crate::config::GomilConfig;
-use crate::error::{GomilError, VerificationFailure};
-use crate::global::{
-    optimize_global_hinted, optimize_global_with_budget, GlobalSolution, WarmStartHint,
-};
+use crate::error::{panic_message, GomilError, VerificationFailure};
+use crate::global::{optimize_global_hinted, GlobalSolution, WarmStartHint};
 use gomil_arith::{and_ppg, baugh_wooley_ppg, booth4_ppg, booth8_ppg, realize_schedule, PpgKind};
 use gomil_budget::Budget;
 use gomil_netlist::{verify_multiplier, EquivVerdict, NetId, Netlist, VerifyConfig};
@@ -200,16 +198,6 @@ pub(crate) fn choose_realized_tree(
     }
 }
 
-/// Converts a caught panic payload into a [`GomilError::Realization`].
-fn panic_to_error(payload: Box<dyn std::any::Any + Send>) -> GomilError {
-    let msg = payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string());
-    GomilError::Realization(format!("internal panic during construction: {msg}"))
-}
-
 /// A GOMIL-optimized multiplier together with the optimization record.
 #[derive(Debug, Clone)]
 pub struct GomilDesign {
@@ -242,34 +230,13 @@ pub struct GomilDesign {
 /// [`GomilError::InvalidInput`] for bad requests, otherwise only internal
 /// failures the degradation ladder could not absorb.
 pub fn build_gomil(m: usize, ppg: PpgKind, cfg: &GomilConfig) -> Result<GomilDesign, GomilError> {
-    build_gomil_with_hint(m, ppg, cfg, None)
+    build_gomil_budgeted(m, ppg, cfg, None, &Budget::unlimited())
 }
 
-/// [`build_gomil`] seeded with a neighboring solve's incumbent: the hint's
-/// final-height profile is adapted to this design's width and offered to
-/// the optimizer's ILP warm starts and target search (see
-/// [`WarmStartHint`]). A hint never changes which designs are feasible —
-/// only how fast a good incumbent is found — so `None` is exactly
-/// [`build_gomil`]. Used by the `gomil-serve` layer to accelerate queued
-/// neighbor requests.
-///
-/// # Errors
-///
-/// Same contract as [`build_gomil`].
-pub fn build_gomil_with_hint(
-    m: usize,
-    ppg: PpgKind,
-    cfg: &GomilConfig,
-    hint: Option<&WarmStartHint>,
-) -> Result<GomilDesign, GomilError> {
-    // An unlimited external budget narrowed by `cfg.pipeline_budget` is
-    // exactly the classic standalone budget.
-    build_gomil_budgeted(m, ppg, cfg, hint, &Budget::unlimited())
-}
-
-/// [`build_gomil_with_hint`] governed by an *external* [`Budget`] — the
-/// entry point for network serving, where the caller owns a per-request
-/// deadline and a cancellation flag (client disconnect, server drain).
+/// [`build_gomil`] governed by an *external* [`Budget`] and seeded with a
+/// neighboring solve's incumbent — the entry point for network serving,
+/// where the caller owns a per-request deadline and a cancellation flag
+/// (client disconnect, server drain).
 ///
 /// The effective budget is the external one narrowed to
 /// [`pipeline_budget`](GomilConfig::pipeline_budget) when that is set: the
@@ -277,7 +244,15 @@ pub fn build_gomil_with_hint(
 /// solve. Cancellation is *not* failure — the optimizer unwinds down its
 /// degradation ladder to the always-feasible Dadda + prefix rung, so a
 /// cancelled request still returns a correct (degraded, never-cached)
-/// multiplier quickly.
+/// multiplier quickly. [`build_gomil`] is this call with an unlimited
+/// `budget` and no hint.
+///
+/// The hint's final-height profile is adapted to this design's width and
+/// offered to the joint ILP's warm starts and the target search (see
+/// [`WarmStartHint`]). A hint never changes which designs are feasible —
+/// only how fast a good incumbent is found — so `None` is the unhinted
+/// build. The `gomil-serve` layer uses it to accelerate queued neighbor
+/// requests.
 ///
 /// # Errors
 ///
@@ -311,7 +286,12 @@ pub fn build_gomil_budgeted(
     catch_unwind(AssertUnwindSafe(|| {
         build_gomil_inner(m, ppg, cfg, hint, &effective)
     }))
-    .unwrap_or_else(|payload| Err(panic_to_error(payload)))
+    .unwrap_or_else(|payload| {
+        Err(GomilError::Realization(format!(
+            "internal panic during construction: {}",
+            panic_message(payload)
+        )))
+    })
 }
 
 fn build_gomil_inner(
@@ -406,7 +386,7 @@ pub fn build_gomil_rect(m: usize, n: usize, cfg: &GomilConfig) -> Result<GomilDe
     let pp = and_ppg(&mut nl, &a, &b);
     let v0 = pp.heights();
 
-    let solution = optimize_global_with_budget(&v0, cfg, &budget)?;
+    let solution = optimize_global_hinted(&v0, cfg, &budget, None)?;
     let reduced = realize_schedule(&mut nl, &pp, &solution.schedule)
         .map_err(|e| GomilError::Realization(format!("{}: {e}", nl.name())))?;
     let rows = TwoRows::from_matrix(&reduced);

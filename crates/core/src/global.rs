@@ -3,7 +3,7 @@
 //!
 //! The coupling variable between the two ILPs is the CT's output BCV
 //! `V_s`: its entries decide both the compressor cost and the leaf types
-//! of the prefix structure. Several solution paths are provided, ordered
+//! of the prefix structure. Three solution paths are provided, ordered
 //! best-first:
 //!
 //! * [`joint_ilp`] — the paper's formulation: CT constraints + prefix IP
@@ -12,27 +12,26 @@
 //!   (exactly how the paper runs Gurobi, with its `3600 + L³` second cap),
 //!   followed by the paper's post-pass: re-optimize the *full-width*
 //!   prefix structure for the resulting `V_s`.
-//! * a *truncated* ILP — the CT ILP alone (the prefix coupling truncated
-//!   away) plus the exact full-width prefix DP as a post-pass; much
-//!   smaller and numerically tamer than the joint model.
 //! * [`target_search`] — a scalable joint optimizer for large word lengths
 //!   where a from-scratch MILP solver cannot close the gap: hill-climbing
 //!   over final-height target profiles, with each candidate evaluated
 //!   *exactly* (a targeted-Dadda schedule generator for the CT side and
 //!   the full interval DP for the prefix side, run once per distinct
-//!   leaf-type profile). Unlike the truncated ILP it scores the complete
-//!   prefix cost, not just `c_{L−1:0}`.
+//!   leaf-type profile). Unlike the joint ILP's `L`-truncated objective it
+//!   scores the complete prefix cost, not just `c_{L−1:0}`.
 //! * plain Dadda + optimal prefix — the unconditional last resort; never
 //!   budget-checked, cannot fail.
 //!
-//! [`optimize_global`] runs the ladder: each rung is attempted under the
-//! shared wall-clock [`Budget`] and inside a panic guard, failures are
-//! recorded in a typed [`DegradationReport`], and the best surviving
-//! solution wins. Tests verify the strategies agree on small instances.
+//! [`optimize_global`] runs the ladder: every rung takes the same step —
+//! its skip reason, a skip once the shared wall-clock [`Budget`] is spent,
+//! a panic guard, and the record of its outcome in a typed
+//! [`DegradationReport`] — and the best surviving solution wins. Tests
+//! verify the strategies agree on small instances.
 
 use crate::config::GomilConfig;
 use crate::ct_ilp::CtIlp;
-use crate::error::GomilError;
+use crate::error::{panic_message, GomilError};
+use crate::flow::pipeline_budget;
 use crate::prefix_ilp::{add_prefix_constraints, LeafB};
 use gomil_arith::{
     dadda_schedule, required_stages_modular, schedule_toward_target,
@@ -55,8 +54,6 @@ use std::time::Duration;
 pub enum Rung {
     /// The paper's joint ILP (Eq. 27).
     JointIlp,
-    /// CT-only ILP with the exact prefix DP post-pass.
-    TruncatedIlp,
     /// Hill-climb over final-height target profiles.
     TargetSearch,
     /// Plain Dadda schedule + optimal full-width prefix tree.
@@ -69,7 +66,6 @@ impl Rung {
     pub fn label(self) -> &'static str {
         match self {
             Rung::JointIlp => "joint-ilp",
-            Rung::TruncatedIlp => "truncated-ilp",
             Rung::TargetSearch => "target-search",
             Rung::DaddaPrefix => "dadda-prefix",
         }
@@ -175,11 +171,6 @@ impl DegradationReport {
                 .attempts
                 .iter()
                 .any(|a| matches!(a.outcome, RungOutcome::Failed(RungFailure::Budget(_))))
-    }
-
-    /// The recorded attempt for `rung`, if it appears in the report.
-    pub fn attempt(&self, rung: Rung) -> Option<&RungAttempt> {
-        self.attempts.iter().find(|a| a.rung == rung)
     }
 }
 
@@ -355,8 +346,12 @@ pub struct GlobalSolution {
     pub objective: f64,
     /// Which optimizer produced it (a [`Rung::label`]).
     pub strategy: &'static str,
-    /// Branch-and-bound statistics, when an ILP rung produced the winner
-    /// (`None` for the search and Dadda rungs, which do not run an ILP).
+    /// Branch-and-bound statistics of the joint ILP, whenever the ladder
+    /// ran that rung to a solution — also when another rung's design won,
+    /// so the work the ILP spent is always counted. The gap and the
+    /// incumbent timeline then describe the joint ILP's own incumbent, not
+    /// the returned design. `None` when the joint ILP was skipped or
+    /// failed, and for solutions of [`target_search`].
     pub solver_stats: Option<SolveStats>,
     /// How the degradation ladder got here. Empty (no attempts) for
     /// solutions produced by calling a single strategy directly.
@@ -528,35 +523,25 @@ impl PrefixMemo<'_> {
 /// flipping every column's target (1 ↔ 2), keeping the first strict
 /// improvement of the exact global objective. Deterministic.
 pub fn target_search(v0: &Bcv, cfg: &GomilConfig) -> GlobalSolution {
-    target_search_budgeted(v0, cfg, &Budget::unlimited()).expect("unlimited budget cannot expire")
+    target_search_hinted(v0, cfg, &Budget::unlimited(), None)
+        .expect("unlimited budget cannot expire")
 }
 
-/// Budget-aware [`target_search`]: the hill-climb checks the budget before
-/// each candidate and returns the best solution found so far once it
-/// expires.
+/// [`target_search`] under a shared wall-clock budget, optionally seeded
+/// with a neighboring solve's incumbent profile.
+///
+/// The hill-climb checks the budget before each candidate and returns the
+/// best solution found so far once it expires. The hint is scored as an
+/// extra starting candidate and, when it wins, the hill-climb continues
+/// from the donor's profile instead of Dadda's — typically saving the
+/// early rounds of the climb.
 ///
 /// # Errors
 ///
 /// [`BudgetExceeded`] only if the budget died before even the Dadda seed
 /// could be scored — in that case there is no solution to degrade to at
-/// this rung (the ladder's final rung ignores budgets instead).
-pub fn target_search_budgeted(
-    v0: &Bcv,
-    cfg: &GomilConfig,
-    budget: &Budget,
-) -> Result<GlobalSolution, BudgetExceeded> {
-    target_search_hinted(v0, cfg, budget, None)
-}
-
-/// [`target_search_budgeted`] seeded with a neighboring solve's incumbent
-/// profile: the hint is scored as an extra starting candidate and, when it
-/// wins, the hill-climb continues from the donor's profile instead of
-/// Dadda's — typically saving the early rounds of the climb.
-///
-/// # Errors
-///
-/// [`BudgetExceeded`] only if the budget died before even the Dadda seed
-/// could be scored (hints never make failure more likely).
+/// this rung (the ladder's final rung ignores budgets instead). Hints
+/// never make failure more likely.
 pub fn target_search_hinted(
     v0: &Bcv,
     cfg: &GomilConfig,
@@ -663,31 +648,19 @@ pub fn target_search_hinted(
 /// Propagates solver failures. Warm starting makes `Limit` without an
 /// incumbent impossible for valid inputs.
 pub fn joint_ilp(v0: &Bcv, cfg: &GomilConfig) -> Result<GlobalSolution, SolveError> {
-    joint_ilp_budgeted(v0, cfg, &Budget::unlimited())
+    joint_ilp_hinted(v0, cfg, &Budget::unlimited(), None)
 }
 
-/// [`joint_ilp`] under a shared wall-clock budget: branch and bound
-/// respects the *earlier* of `cfg.solver_budget` and the budget's
-/// deadline, and reacts to cooperative cancellation.
+/// [`joint_ilp`] under a shared wall-clock budget, with an optional
+/// neighbor incumbent hand-off.
 ///
-/// # Errors
-///
-/// Propagates solver failures; budget expiry without an incumbent
-/// surfaces as [`SolveError::Limit`].
-pub fn joint_ilp_budgeted(
-    v0: &Bcv,
-    cfg: &GomilConfig,
-    budget: &Budget,
-) -> Result<GlobalSolution, SolveError> {
-    joint_ilp_hinted(v0, cfg, budget, None)
-}
-
-/// [`joint_ilp_budgeted`] with an optional neighbor incumbent hand-off:
-/// the donated profile is steered into a feasible schedule for *this*
-/// geometry and offered to branch and bound alongside the Dadda seed via
-/// the certified warm-start path ([`BranchConfig::extra_starts`]) — the
-/// certifier validates every candidate, so a stale or mismatched hint is
-/// dropped, never trusted.
+/// Branch and bound respects the *earlier* of `cfg.solver_budget` and the
+/// budget's deadline, and reacts to cooperative cancellation. The donated
+/// profile is steered into a feasible schedule for *this* geometry and
+/// offered to branch and bound alongside the Dadda seed via the certified
+/// warm-start path ([`BranchConfig::extra_starts`]) — the certifier
+/// validates every candidate, so a stale or mismatched hint is dropped,
+/// never trusted.
 ///
 /// # Errors
 ///
@@ -706,16 +679,10 @@ pub fn joint_ilp_hinted(
     let initial = seeds.next();
 
     let branch = BranchConfig {
-        time_limit: Some(cfg.solver_budget),
         budget: budget.clone(),
         initial,
         extra_starts: seeds.collect(),
-        jobs: cfg.solver_jobs,
-        pricing: cfg.pricing,
-        cuts: cfg.cuts,
-        scaling: cfg.scaling,
-        reduce: cfg.reduce,
-        ..BranchConfig::default()
+        ..cfg.branch_config()
     };
     let mut sol = jm.model.solve_with(&branch)?;
     sol.set_build_time(build_time);
@@ -832,66 +799,25 @@ pub fn build_joint_model(
     Ok(JointModel { model, seeds, ct })
 }
 
-/// The truncated-ILP rung: solve the CT ILP alone (the prefix coupling
-/// truncated away) and post-pass with the exact full-width prefix DP.
-fn truncated_ilp_budgeted(
-    v0: &Bcv,
-    cfg: &GomilConfig,
-    budget: &Budget,
-) -> Result<GlobalSolution, SolveError> {
-    if try_required_stages(v0).is_none() {
-        return Err(SolveError::Infeasible);
-    }
-    let ct = CtIlp::build(v0, cfg);
-    let ct_sol = ct.solve_budgeted(cfg, budget)?;
-    let vs = ct_sol
-        .schedule
-        .final_bcv(v0)
-        .expect("solver output is feasible");
-    let mut out = solution_from(vs, ct_sol.schedule, cfg, "truncated-ilp");
-    out.solver_stats = Some(ct_sol.stats);
-    Ok(out)
-}
-
-/// Runs a rung's closure inside a panic guard, converting an unwind into a
-/// typed [`RungFailure::Panic`] so the ladder can move on.
-fn guarded(
-    f: impl FnOnce() -> Result<GlobalSolution, RungFailure>,
-) -> Result<GlobalSolution, RungFailure> {
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(result) => result,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(RungFailure::Panic(msg))
-        }
-    }
-}
-
-/// Runs the joint optimization, choosing the strategy by problem size,
-/// keeping the better of the ILP and search results when both run, and
-/// degrading down the ladder instead of failing when a rung errors out.
-///
-/// Equivalent to [`optimize_global_with_budget`] with the budget taken
-/// from [`GomilConfig::pipeline_budget`] (unlimited when `None`).
+/// Runs the degradation ladder under the budget of
+/// [`GomilConfig::pipeline_budget`] (unlimited when `None`), without a
+/// warm-start hint: exactly [`optimize_global_hinted`] with that budget and
+/// no hint.
 ///
 /// # Errors
 ///
 /// Only if every rung — including the unconditional Dadda fallback —
 /// failed, which indicates an internal bug rather than a hard instance.
 pub fn optimize_global(v0: &Bcv, cfg: &GomilConfig) -> Result<GlobalSolution, GomilError> {
-    let budget = match cfg.pipeline_budget {
-        Some(limit) => Budget::with_limit(limit),
-        None => Budget::unlimited(),
-    };
-    optimize_global_with_budget(v0, cfg, &budget)
+    optimize_global_hinted(v0, cfg, &pipeline_budget(cfg), None)
 }
 
 /// The degradation ladder under an explicit shared budget: joint ILP →
-/// truncated ILP → target search → plain Dadda + optimal prefix.
+/// target search → plain Dadda + optimal prefix. A neighbor incumbent
+/// hand-off, when given, seeds both the joint ILP's warm starts and the
+/// target search (see [`WarmStartHint`]); the serving layer uses it to
+/// accelerate queued neighbor requests, and `None` is exactly the
+/// unhinted ladder.
 ///
 /// Rules of the ladder:
 ///
@@ -899,9 +825,6 @@ pub fn optimize_global(v0: &Bcv, cfg: &GomilConfig) -> Result<GlobalSolution, Go
 ///   `Θ(n·L²)`; past that a dense-tableau B&B stops being productive
 ///   within sane budgets — this mirrors the paper's own scalability
 ///   concession, the `L` truncation and runtime cap);
-/// * the truncated ILP only runs if the joint ILP *failed* (when the
-///   joint model succeeds its answer dominates; when it was skipped for
-///   size the CT-only model would be skipped for the same reason);
 /// * the target search always runs while budget remains, and the best
 ///   objective across successful rungs wins;
 /// * the final Dadda rung runs only when nothing else succeeded and is
@@ -909,23 +832,8 @@ pub fn optimize_global(v0: &Bcv, cfg: &GomilConfig) -> Result<GlobalSolution, Go
 /// * every rung executes inside a panic guard — a crashing rung is
 ///   recorded as [`RungFailure::Panic`] and the ladder continues.
 ///
-/// The returned solution carries the full [`DegradationReport`].
-///
-/// # Errors
-///
-/// Only if every rung failed (an internal bug by construction).
-pub fn optimize_global_with_budget(
-    v0: &Bcv,
-    cfg: &GomilConfig,
-    budget: &Budget,
-) -> Result<GlobalSolution, GomilError> {
-    optimize_global_hinted(v0, cfg, budget, None)
-}
-
-/// [`optimize_global_with_budget`] with a neighbor incumbent hand-off:
-/// the hint seeds both ILP rungs' warm starts and the target search (see
-/// [`WarmStartHint`]). Used by the serving layer to accelerate queued
-/// neighbor requests; `None` is exactly the unhinted ladder.
+/// The returned solution carries the full [`DegradationReport`], and the
+/// joint ILP's [`SolveStats`] whenever that rung ran, whichever rung won.
 ///
 /// # Errors
 ///
@@ -936,146 +844,128 @@ pub fn optimize_global_hinted(
     budget: &Budget,
     hint: Option<&WarmStartHint>,
 ) -> Result<GlobalSolution, GomilError> {
-    fn record(
-        attempts: &mut Vec<RungAttempt>,
-        best: &mut Option<(Rung, GlobalSolution)>,
-        rung: Rung,
-        sol: GlobalSolution,
-    ) {
-        attempts.push(RungAttempt {
-            rung,
-            outcome: RungOutcome::Succeeded {
-                objective: sol.objective,
-            },
-        });
-        let better = match best {
-            Some((_, incumbent)) => sol.objective < incumbent.objective - 1e-9,
-            None => true,
-        };
-        if better {
-            *best = Some((rung, sol));
-        }
-    }
-    let mut attempts: Vec<RungAttempt> = Vec::new();
-    let mut best: Option<(Rung, GlobalSolution)> = None;
+    let mut ladder = Ladder::new(budget);
 
     // Rung 1: the paper's joint ILP.
-    if v0.len() > 16 {
-        attempts.push(RungAttempt {
-            rung: Rung::JointIlp,
-            outcome: RungOutcome::Skipped(format!(
-                "{} columns exceed the joint ILP's practical size (16)",
-                v0.len()
-            )),
-        });
+    let skip = if v0.len() > 16 {
+        Some(format!(
+            "{} columns exceed the joint ILP's practical size (16)",
+            v0.len()
+        ))
     } else if try_required_stages(v0).is_none() {
-        attempts.push(RungAttempt {
-            rung: Rung::JointIlp,
-            outcome: RungOutcome::Skipped(
-                "profile has no leftmost-free reduction (Eq. 4)".to_string(),
-            ),
-        });
-    } else if let Err(reason) = budget.check() {
-        attempts.push(RungAttempt {
-            rung: Rung::JointIlp,
-            outcome: RungOutcome::Skipped(format!("budget already exhausted: {reason}")),
-        });
+        Some("profile has no leftmost-free reduction (Eq. 4)".to_string())
     } else {
-        match guarded(|| joint_ilp_hinted(v0, cfg, budget, hint).map_err(RungFailure::Solve)) {
-            Ok(sol) => record(&mut attempts, &mut best, Rung::JointIlp, sol),
-            Err(why) => attempts.push(RungAttempt {
-                rung: Rung::JointIlp,
-                outcome: RungOutcome::Failed(why),
-            }),
+        None
+    };
+    ladder.step(Rung::JointIlp, skip, || {
+        joint_ilp_hinted(v0, cfg, budget, hint).map_err(RungFailure::Solve)
+    });
+
+    // Rung 2: the target search — always competitive, scores the full
+    // prefix cost, and its result is kept when it beats the ILP.
+    ladder.step(Rung::TargetSearch, None, || {
+        target_search_hinted(v0, cfg, budget, hint).map_err(RungFailure::Budget)
+    });
+
+    ladder.finish(v0, cfg)
+}
+
+/// The ladder's running record: every attempt so far, the best solution
+/// with its rung, and the statistics of the ILP rung once it has run.
+struct Ladder<'a> {
+    budget: &'a Budget,
+    attempts: Vec<RungAttempt>,
+    best: Option<(Rung, GlobalSolution)>,
+    stats: Option<SolveStats>,
+}
+
+impl<'a> Ladder<'a> {
+    fn new(budget: &'a Budget) -> Ladder<'a> {
+        Ladder {
+            budget,
+            attempts: Vec::new(),
+            best: None,
+            stats: None,
         }
     }
 
-    // Rung 2: CT-only ILP, a repair path for joint-model failures.
-    let joint_failed = matches!(
-        attempts.last(),
-        Some(RungAttempt {
-            rung: Rung::JointIlp,
-            outcome: RungOutcome::Failed(_),
-        })
-    );
-    if !joint_failed {
-        let why = if best.is_some() {
-            "joint ILP succeeded".to_string()
-        } else {
-            "joint ILP was not attempted".to_string()
+    /// Gives `rung` its turn, the one step every rung takes. A rung with a
+    /// `skip` reason does not run, and neither does any rung but the last
+    /// resort once the budget is spent. Otherwise `solve` runs inside a
+    /// panic guard, so a crashing rung is recorded as
+    /// [`RungFailure::Panic`] and the ladder moves on. A success becomes
+    /// the best solution only with a strictly lower objective (ties keep
+    /// the earlier rung), and its solver statistics are kept whichever
+    /// rung wins.
+    fn step(
+        &mut self,
+        rung: Rung,
+        skip: Option<String>,
+        solve: impl FnOnce() -> Result<GlobalSolution, RungFailure>,
+    ) {
+        let skip = skip.or_else(|| {
+            let spent = self
+                .budget
+                .check()
+                .err()
+                .filter(|_| rung != Rung::DaddaPrefix)?;
+            Some(format!("budget already exhausted: {spent}"))
+        });
+        let outcome = match skip {
+            Some(why) => RungOutcome::Skipped(why),
+            None => match catch_unwind(AssertUnwindSafe(solve)) {
+                Ok(Ok(mut sol)) => {
+                    if let Some(stats) = sol.solver_stats.take() {
+                        self.stats = Some(stats);
+                    }
+                    let objective = sol.objective;
+                    if self
+                        .best
+                        .as_ref()
+                        .is_none_or(|(_, best)| objective < best.objective - 1e-9)
+                    {
+                        self.best = Some((rung, sol));
+                    }
+                    RungOutcome::Succeeded { objective }
+                }
+                Ok(Err(why)) => RungOutcome::Failed(why),
+                Err(payload) => RungOutcome::Failed(RungFailure::Panic(panic_message(payload))),
+            },
         };
-        attempts.push(RungAttempt {
-            rung: Rung::TruncatedIlp,
-            outcome: RungOutcome::Skipped(why),
-        });
-    } else if let Err(reason) = budget.check() {
-        attempts.push(RungAttempt {
-            rung: Rung::TruncatedIlp,
-            outcome: RungOutcome::Skipped(format!("budget already exhausted: {reason}")),
-        });
-    } else {
-        match guarded(|| truncated_ilp_budgeted(v0, cfg, budget).map_err(RungFailure::Solve)) {
-            Ok(sol) => record(&mut attempts, &mut best, Rung::TruncatedIlp, sol),
-            Err(why) => attempts.push(RungAttempt {
-                rung: Rung::TruncatedIlp,
-                outcome: RungOutcome::Failed(why),
-            }),
-        }
+        self.attempts.push(RungAttempt { rung, outcome });
     }
 
-    // Rung 3: the target search — always competitive, scores the full
-    // prefix cost, and its result is kept when it beats the ILPs.
-    if let Err(reason) = budget.check() {
-        attempts.push(RungAttempt {
-            rung: Rung::TargetSearch,
-            outcome: RungOutcome::Skipped(format!("budget already exhausted: {reason}")),
-        });
-    } else {
-        match guarded(|| target_search_hinted(v0, cfg, budget, hint).map_err(RungFailure::Budget)) {
-            Ok(sol) => record(&mut attempts, &mut best, Rung::TargetSearch, sol),
-            Err(why) => attempts.push(RungAttempt {
-                rung: Rung::TargetSearch,
-                outcome: RungOutcome::Failed(why),
-            }),
-        }
-    }
-
-    // Rung 4: plain Dadda + optimal prefix — unconditional last resort,
-    // deliberately not budget-checked so *something* always comes back.
-    if best.is_some() {
-        attempts.push(RungAttempt {
-            rung: Rung::DaddaPrefix,
-            outcome: RungOutcome::Skipped("an earlier rung already succeeded".to_string()),
-        });
-    } else {
-        match guarded(|| {
+    /// Takes the last rung — plain Dadda + optimal prefix, run only when no
+    /// rung succeeded and never budget-checked, so *something* always
+    /// comes back — and returns the best solution with the ladder's report
+    /// and the kept solver statistics.
+    fn finish(mut self, v0: &Bcv, cfg: &GomilConfig) -> Result<GlobalSolution, GomilError> {
+        let skip = self
+            .best
+            .is_some()
+            .then(|| "an earlier rung already succeeded".to_string());
+        self.step(Rung::DaddaPrefix, skip, || {
             let dadda = dadda_schedule(v0);
             let vs = dadda
                 .final_bcv(v0)
                 .map_err(|e| RungFailure::Solve(SolveError::Numerical(e.to_string())))?;
             Ok(solution_from(vs, dadda, cfg, "dadda-prefix"))
-        }) {
-            Ok(sol) => record(&mut attempts, &mut best, Rung::DaddaPrefix, sol),
-            Err(why) => attempts.push(RungAttempt {
-                rung: Rung::DaddaPrefix,
-                outcome: RungOutcome::Failed(why),
-            }),
+        });
+        let report = DegradationReport {
+            winner: self.best.as_ref().map(|(rung, _)| *rung),
+            attempts: self.attempts,
+            budget_exhausted: self.budget.check().is_err(),
+        };
+        match self.best {
+            Some((_, mut sol)) => {
+                sol.solver_stats = self.stats;
+                sol.degradation = report;
+                Ok(sol)
+            }
+            None => Err(GomilError::Solve(SolveError::Numerical(format!(
+                "every degradation rung failed: {report}"
+            )))),
         }
-    }
-
-    let report = DegradationReport {
-        winner: best.as_ref().map(|(rung, _)| *rung),
-        attempts,
-        budget_exhausted: budget.check().is_err(),
-    };
-    match best {
-        Some((_, mut sol)) => {
-            sol.degradation = report;
-            Ok(sol)
-        }
-        None => Err(GomilError::Solve(SolveError::Numerical(format!(
-            "every degradation rung failed: {report}"
-        )))),
     }
 }
 
@@ -1155,12 +1045,7 @@ mod tests {
         let rungs: Vec<Rung> = sol.degradation.attempts.iter().map(|a| a.rung).collect();
         assert_eq!(
             rungs,
-            vec![
-                Rung::JointIlp,
-                Rung::TruncatedIlp,
-                Rung::TargetSearch,
-                Rung::DaddaPrefix
-            ]
+            vec![Rung::JointIlp, Rung::TargetSearch, Rung::DaddaPrefix]
         );
         // The display renders without panicking and names the winner.
         let text = sol.degradation.to_string();
@@ -1171,7 +1056,7 @@ mod tests {
     fn dead_budget_still_returns_a_verified_fallback() {
         let v0 = Bcv::and_ppg(8);
         let dead = Budget::with_limit(Duration::ZERO);
-        let sol = optimize_global_with_budget(&v0, &cfg(), &dead).unwrap();
+        let sol = optimize_global_hinted(&v0, &cfg(), &dead, None).unwrap();
         // Everything except the unconditional Dadda rung was skipped or
         // failed on budget, so Dadda must have won.
         assert_eq!(sol.degradation.winner, Some(Rung::DaddaPrefix));
@@ -1185,7 +1070,7 @@ mod tests {
         let v0 = Bcv::and_ppg(6);
         let b = Budget::unlimited();
         b.cancel();
-        let sol = optimize_global_with_budget(&v0, &cfg(), &b).unwrap();
+        let sol = optimize_global_hinted(&v0, &cfg(), &b, None).unwrap();
         assert_eq!(sol.degradation.winner, Some(Rung::DaddaPrefix));
         let text = sol.degradation.to_string();
         assert!(text.contains("cancelled"), "{text}");
@@ -1195,8 +1080,75 @@ mod tests {
     fn budgeted_search_matches_unbudgeted_when_unconstrained() {
         let v0 = Bcv::and_ppg(8);
         let free = target_search(&v0, &cfg());
-        let budgeted = target_search_budgeted(&v0, &cfg(), &Budget::unlimited()).unwrap();
+        let hour = Budget::with_limit(Duration::from_secs(3_600));
+        let budgeted = target_search_hinted(&v0, &cfg(), &hour, None).unwrap();
         assert_eq!(free.objective, budgeted.objective);
+    }
+
+    #[test]
+    fn the_rung_step_contains_panics_errors_and_dead_budgets() {
+        let v0 = Bcv::and_ppg(4);
+        let live = Budget::unlimited();
+        let mut ladder = Ladder::new(&live);
+        ladder.step(Rung::JointIlp, None, || panic!("injected rung crash"));
+        ladder.step(Rung::TargetSearch, None, || {
+            Err(RungFailure::Solve(SolveError::Infeasible))
+        });
+        let sol = ladder.finish(&v0, &cfg()).unwrap();
+        let outcomes: Vec<&RungOutcome> = sol
+            .degradation
+            .attempts
+            .iter()
+            .map(|a| &a.outcome)
+            .collect();
+        assert!(
+            matches!(outcomes[0], RungOutcome::Failed(RungFailure::Panic(msg)) if msg == "injected rung crash"),
+            "{}",
+            sol.degradation
+        );
+        assert_eq!(
+            outcomes[1],
+            &RungOutcome::Failed(RungFailure::Solve(SolveError::Infeasible))
+        );
+        assert_eq!(sol.degradation.winner, Some(Rung::DaddaPrefix));
+        assert!(sol.degradation.degraded());
+        assert!(sol.schedule.final_bcv(&v0).unwrap().is_reduced());
+
+        let dead = Budget::with_limit(Duration::ZERO);
+        let mut ladder = Ladder::new(&dead);
+        ladder.step(Rung::JointIlp, None, || {
+            unreachable!("a dead budget skips the rung")
+        });
+        let sol = ladder.finish(&v0, &cfg()).unwrap();
+        assert!(
+            matches!(&sol.degradation.attempts[0].outcome,
+                RungOutcome::Skipped(why) if why.starts_with("budget already exhausted")),
+            "{}",
+            sol.degradation
+        );
+        assert_eq!(sol.degradation.winner, Some(Rung::DaddaPrefix));
+        assert!(sol.degradation.budget_limited());
+    }
+
+    #[test]
+    fn the_joint_ilp_stats_survive_a_target_search_win() {
+        // At (6, AND) target search (174) beats the joint ILP's design even
+        // under the default 10-s solver budget, let alone a short one; the
+        // ILP's work still counts. The budget leaves a debug build time for
+        // presolve and a few hundred root-LP pivots.
+        let v0 = Bcv::and_ppg(6);
+        let short = GomilConfig {
+            solver_budget: Duration::from_secs(2),
+            ..cfg()
+        };
+        let sol = optimize_global(&v0, &short).unwrap();
+        assert_eq!(sol.degradation.winner, Some(Rung::TargetSearch));
+        assert!(matches!(
+            sol.degradation.attempts[0].outcome,
+            RungOutcome::Succeeded { .. }
+        ));
+        let stats = sol.solver_stats.expect("the joint ILP ran");
+        assert!(stats.lp_iterations > 0, "{stats}");
     }
 
     #[test]

@@ -38,9 +38,9 @@
 //! ## Resilience
 //!
 //! Every failure of the pipeline is a typed [`GomilError`]; panics are
-//! contained. [`optimize_global`] runs a graceful-degradation ladder
-//! (joint ILP → truncated ILP → target search → plain Dadda + optimal
-//! prefix) under an optional end-to-end wall-clock budget
+//! contained. [`optimize_global`] runs a three-rung graceful-degradation
+//! ladder (joint ILP → target search → plain Dadda + optimal prefix) under
+//! an optional end-to-end wall-clock budget
 //! ([`GomilConfig::pipeline_budget`]), recording every absorbed failure in
 //! a [`DegradationReport`]. ILP solutions are re-checked by an independent
 //! certifier before being trusted (see [`gomil_ilp::certify()`]).
@@ -65,14 +65,13 @@ pub use config::GomilConfig;
 pub use ct_ilp::{CtIlp, CtSolution};
 pub use error::{GomilError, VerificationFailure};
 pub use flow::{
-    build_gomil, build_gomil_budgeted, build_gomil_rect, build_gomil_with_hint, GomilDesign,
-    MultiplierBuild, RegionBreakdown,
+    build_gomil, build_gomil_budgeted, build_gomil_rect, GomilDesign, MultiplierBuild,
+    RegionBreakdown,
 };
 pub use global::{
-    build_joint_model, joint_ilp, joint_ilp_budgeted, joint_ilp_hinted, optimize_global,
-    optimize_global_hinted, optimize_global_with_budget, target_search, target_search_budgeted,
-    target_search_hinted, DegradationReport, GlobalSolution, JointModel, Rung, RungAttempt,
-    RungFailure, RungOutcome, SolveStats, WarmStartHint,
+    build_joint_model, joint_ilp, joint_ilp_hinted, optimize_global, optimize_global_hinted,
+    target_search, target_search_hinted, DegradationReport, GlobalSolution, JointModel, Rung,
+    RungAttempt, RungFailure, RungOutcome, SolveStats, WarmStartHint,
 };
 pub use prefix_ilp::{add_prefix_constraints, solve_fixed_prefix_ip, LeafB, PrefixVars};
 pub use report::{format_table, normalize, solve_summary, DesignReport, NormalizedRow};

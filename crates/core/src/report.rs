@@ -58,9 +58,11 @@ impl fmt::Display for DesignReport {
 }
 
 /// Renders how the optimizer arrived at a [`GlobalSolution`]: the winning
-/// strategy and its cost split, the branch-and-bound statistics when an
-/// ILP rung won, and the degradation-ladder record when any rung was
-/// skipped or absorbed a failure.
+/// strategy and its cost split, the joint ILP's branch-and-bound
+/// statistics whenever the ladder ran that rung (also when target search
+/// won), and — for a ladder solution — the record of the three rungs
+/// (joint ILP → target search → Dadda + prefix), each with its outcome or
+/// skip reason.
 pub fn solve_summary(sol: &GlobalSolution) -> String {
     let mut s = format!(
         "strategy: {} (objective {} = CT {} + prefix {})\n",

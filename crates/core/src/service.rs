@@ -45,8 +45,9 @@ fn outcome_from(design: &GomilDesign, cfg: &GomilConfig) -> ServeOutcome {
     let degraded = degradation.degraded()
         || degradation.budget_limited()
         || degradation.winner == Some(Rung::DaddaPrefix);
-    // Non-ILP rungs (target search, Dadda) carry no branch-and-bound
-    // stats; their solver counters and gap stay zero, their timeline empty.
+    // The joint ILP's stats whenever the ladder ran it, whichever rung won,
+    // so its work is always counted; the gap and timeline describe its own
+    // incumbent. Zero counters and gap, empty timeline when it did not run.
     let stats = sol.solver_stats.as_ref();
     let count = |field: fn(&SolveStats) -> u64| stats.map_or(0, field);
     let root = stats.map(|s| s.root).unwrap_or_default();

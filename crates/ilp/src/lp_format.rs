@@ -525,7 +525,8 @@ impl Model {
     pub fn from_lp_format(text: &str) -> Result<Model, LpParseError> {
         let mut p = Parser::new();
         let mut section = Section::Preamble;
-        let mut last_line = 0;
+        // Errors past the last line name it; empty text has a line 1.
+        let mut last_line = 1;
         // Constraint accumulation state: label, expression so far, and
         // the relation once seen (an LP row may span lines).
         let mut row_label: Option<String> = None;
@@ -758,6 +759,7 @@ mod tests {
     #[test]
     fn parser_rejects_malformed_input() {
         for (text, want) in [
+            ("", "Minimize/Maximize"),
             ("Subject To\n r: x <= 1\nEnd", "Minimize/Maximize"),
             (
                 "Minimize\n obj: x\nSubject To\n r: x <=\nEnd",

@@ -77,18 +77,11 @@ impl ShardedCache {
 
     /// Looks `key` up, refreshing its recency. Records a hit or miss.
     pub fn get(&self, key: &SolveKey) -> Option<ServeOutcome> {
-        let mut shard = self.lock(key);
-        match shard.get_mut(key.canonical()) {
-            Some(e) => {
-                e.last_used = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.value.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let hit = self.probe(key);
+        if hit.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
+        hit
     }
 
     /// Like [`get`](Self::get) but *silent on a miss*: a hit refreshes
@@ -98,10 +91,18 @@ impl ShardedCache {
     /// because the same request is immediately looked up again inside the
     /// solve path.
     pub fn probe(&self, key: &SolveKey) -> Option<ServeOutcome> {
+        let hit = self.peek(key)?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(hit)
+    }
+
+    /// Like [`get`](Self::get) but counting nothing, hit or miss: a hit
+    /// only refreshes recency. Used for a second look at a key whose
+    /// lookup has already been counted.
+    pub(crate) fn peek(&self, key: &SolveKey) -> Option<ServeOutcome> {
         let mut shard = self.lock(key);
         let e = shard.get_mut(key.canonical())?;
         e.last_used = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        self.hits.fetch_add(1, Ordering::Relaxed);
         Some(e.value.clone())
     }
 
@@ -379,6 +380,10 @@ mod tests {
         assert_eq!(c.probe(&key(8)).unwrap().name, "D-p-8");
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 0);
+        // A peek counts nothing either way.
+        assert!(c.peek(&key(9)).is_none());
+        assert_eq!(c.peek(&key(8)).unwrap().name, "D-p-8");
+        assert_eq!((c.hits(), c.misses()), (1, 0));
     }
 
     #[test]

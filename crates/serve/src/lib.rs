@@ -12,12 +12,12 @@
 //! * [`SingleFlight`] — request coalescing: `N` concurrent requests for
 //!   the same key trigger exactly one solve, the rest block and share the
 //!   leader's result;
-//! * [`SolveService`] — a fixed worker pool (std threads + a bounded job
-//!   queue) that drains request batches, deduplicates via singleflight,
-//!   offers completed incumbents to queued *neighbor* requests as warm
-//!   starts, and records [`ServiceMetrics`];
-//! * [`MetricsReport`] — hits/misses/evictions/dedup joins/queue depth and
-//!   a per-rung latency histogram, rendered as a summary table or as
+//! * [`SolveService`] — a fixed worker pool (std threads taking the next
+//!   request of a batch) that drains request batches, deduplicates via
+//!   singleflight, offers completed incumbents to later *neighbor*
+//!   requests as warm starts, and records [`ServiceMetrics`];
+//! * [`MetricsReport`] — hits/misses/evictions/dedup joins and a per-rung
+//!   latency histogram, rendered as a summary table or as
 //!   Prometheus text exposition ([`MetricsReport::to_prometheus`]) for the
 //!   `gomil-httpd` network layer.
 //!

@@ -63,8 +63,6 @@ pub struct ServiceMetrics {
     pub errors: AtomicU64,
     /// Solves that were offered a neighbor's incumbent as a warm start.
     pub warm_hints: AtomicU64,
-    /// Peak depth of the bounded job queue.
-    pub queue_peak: AtomicU64,
     /// Solves whose netlist equivalence was proved exhaustively.
     pub verdict_proved: AtomicU64,
     /// Solves whose netlist passed the sampled equivalence check.
@@ -97,11 +95,6 @@ impl ServiceMetrics {
     pub fn record_latency(&self, rung: &str, took: Duration) {
         let mut map = self.latency.lock().unwrap_or_else(|p| p.into_inner());
         map.entry(rung.to_string()).or_default().record(took);
-    }
-
-    /// Raises the recorded queue-depth peak to at least `depth`.
-    pub fn note_queue_depth(&self, depth: usize) {
-        self.queue_peak.fetch_max(depth as u64, Ordering::Relaxed);
     }
 
     /// Adds one executed solve's counters to the service-wide totals, and
@@ -165,8 +158,6 @@ pub struct MetricsReport {
     pub errors: u64,
     /// Solves offered a warm-start hint.
     pub warm_hints: u64,
-    /// Peak job-queue depth.
-    pub queue_peak: u64,
     /// The solve counters summed over every executed solve.
     pub solver: SolveCounters,
     /// Solves with an exhaustively proved equivalence verdict.
@@ -306,9 +297,6 @@ impl MetricsReport {
         );
         let _ = writeln!(out, "# TYPE gomil_mart_coverage gauge");
         let _ = writeln!(out, "gomil_mart_coverage {}", self.mart_coverage());
-        let _ = writeln!(out, "# HELP gomil_queue_peak Peak job-queue depth.");
-        let _ = writeln!(out, "# TYPE gomil_queue_peak gauge");
-        let _ = writeln!(out, "gomil_queue_peak {}", self.queue_peak);
         let _ = writeln!(
             out,
             "# HELP gomil_rung_latency_ms Request latency by degradation rung."
@@ -364,8 +352,8 @@ impl fmt::Display for MetricsReport {
         )?;
         writeln!(
             f,
-            "dedup joins {:>3}   warm-start hints {:>3}   queue peak {:>4}   cached {:>4}",
-            self.dedup_joins, self.warm_hints, self.queue_peak, self.cache_len
+            "dedup joins {:>3}   warm-start hints {:>3}   cached {:>4}",
+            self.dedup_joins, self.warm_hints, self.cache_len
         )?;
         for (_, help, value) in self.solver.iter() {
             writeln!(f, "{value:>12}  {help}")?;
@@ -511,7 +499,6 @@ mod tests {
             degraded: 1,
             errors: 0,
             warm_hints: 3,
-            queue_peak: 7,
             solver: distinct_counters(1_000),
             verdict_proved: 4,
             verdict_tested: 1,
@@ -532,9 +519,6 @@ mod tests {
         let m = ServiceMetrics::default();
         m.record_latency("joint-ilp", Duration::from_millis(3));
         m.record_latency("cache-hit", Duration::from_micros(20));
-        m.note_queue_depth(7);
-        m.note_queue_depth(3); // must not lower the peak
-        assert_eq!(m.queue_peak.load(Ordering::Relaxed), 7);
         let report = sample_report(m.latency_snapshot());
         assert!((report.mart_coverage() - 0.3).abs() < 1e-12);
         assert!((report.hit_rate() - 0.4).abs() < 1e-12);
@@ -544,7 +528,6 @@ mod tests {
             "dedup joins",
             "joint-ilp",
             "cache-hit",
-            "queue peak",
             "pivots per node",
             "warm restarts",
             "verdicts:",

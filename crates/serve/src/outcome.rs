@@ -114,17 +114,20 @@ pub struct ServeOutcome {
     /// Final BCV column counts (LSB first, entries 1 or 2) — the incumbent
     /// profile offered to neighbor requests as a warm start.
     pub vs_counts: Vec<u32>,
-    /// Final relative MIP gap of the winning ILP rung (0 for a proved
-    /// optimum or a non-ILP rung). A root-only solve with no dual bound
+    /// Final relative MIP gap of the ILP rung whenever the ladder ran it,
+    /// whichever rung won: the gap of the ILP's own incumbent, not of the
+    /// served design (0 for a proved optimum or when no ILP ran). A
+    /// root-only solve with no dual bound
     /// yet has an *infinite* gap, which the wire format carries as the
     /// explicit sentinel `inf` — distinguishable from both 0 and a
     /// missing field.
     pub solver_gap: f64,
     /// Equivalence-verdict tier of the emitted netlist.
     pub verdict: VerdictTier,
-    /// Incumbent-improvement timeline of the winning ILP rung: one
-    /// `(microseconds from solve start, objective)` pair per admitted
-    /// improvement, in admission order (empty for non-ILP rungs). This is
+    /// Incumbent-improvement timeline of the ILP rung whenever the ladder
+    /// ran it, whichever rung won: one `(microseconds from solve start,
+    /// objective)` pair per admitted improvement of the ILP's own
+    /// incumbent, in admission order (empty when no ILP ran). This is
     /// what `POST /solve?stream=1` replays as chunked progress events.
     pub improvements: Vec<(u64, f64)>,
     /// The solve's effort counters.

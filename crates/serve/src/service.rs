@@ -14,8 +14,8 @@ use std::fmt;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// One multiplier-generation request.
@@ -44,7 +44,7 @@ pub enum ServeError {
     /// warm start. The message carries the counterexample.
     Verification(String),
     /// The solver panicked; the panic was contained to this request and
-    /// the worker kept draining the queue.
+    /// the worker kept serving the batch.
     Panic(String),
 }
 
@@ -132,11 +132,8 @@ pub trait DesignStore: Send + Sync {
 /// Tuning knobs of a [`SolveService`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads draining the job queue (`--jobs`).
+    /// Worker threads serving a batch (`--jobs`).
     pub jobs: usize,
-    /// Bounded job-queue capacity; submission blocks when full
-    /// (backpressure instead of unbounded memory growth).
-    pub queue_capacity: usize,
     /// Cache shards (more shards, less lock contention).
     pub shards: usize,
     /// Total cached entries before LRU eviction.
@@ -158,7 +155,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             jobs: 4,
-            queue_capacity: 64,
             shards: 8,
             cache_capacity: 4096,
             cache_path: None,
@@ -171,70 +167,6 @@ impl Default for ServeConfig {
 /// Donor hints kept for warm-start hand-off; small because only the most
 /// recent few neighborhoods matter in a batch.
 const WARM_POOL_CAP: usize = 64;
-
-/// A bounded MPMC job queue: push blocks while full, pop blocks while
-/// empty until the queue is closed.
-struct JobQueue<T> {
-    inner: Mutex<JobQueueInner<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-}
-
-struct JobQueueInner<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-impl<T> JobQueue<T> {
-    fn new() -> JobQueue<T> {
-        JobQueue {
-            inner: Mutex::new(JobQueueInner {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        }
-    }
-
-    /// Blocks while the queue is at `capacity`. Returns the depth after
-    /// the push (for the peak-depth metric).
-    fn push(&self, item: T, capacity: usize) -> usize {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        while inner.items.len() >= capacity && !inner.closed {
-            inner = self.not_full.wait(inner).unwrap_or_else(|p| p.into_inner());
-        }
-        inner.items.push_back(item);
-        let depth = inner.items.len();
-        drop(inner);
-        self.not_empty.notify_one();
-        depth
-    }
-
-    fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                drop(inner);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self
-                .not_empty
-                .wait(inner)
-                .unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    fn close(&self) {
-        self.inner.lock().unwrap_or_else(|p| p.into_inner()).closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
 
 /// A concurrent multiplier-generation service.
 ///
@@ -254,8 +186,8 @@ impl<T> JobQueue<T> {
 ///    their requester only, so budget-starved batches and unverified
 ///    netlists never poison the cache.
 ///
-/// The service is driven batch-at-a-time by [`run_batch`]
-/// (`jobs` worker threads draining a bounded queue); all state — cache,
+/// The service is driven batch-at-a-time by [`run_batch`] (`jobs` worker
+/// threads taking the batch's requests in order); all state — cache,
 /// flight table, metrics, warm pool — persists across batches, so a
 /// long-lived process behaves like a server accepting request waves.
 ///
@@ -329,35 +261,29 @@ impl SolveService {
         SolveKey::new(request.m, request.ppg, &self.fingerprint)
     }
 
-    /// Serves a batch: all requests are pushed through the bounded queue
-    /// and drained by `jobs` workers. Results come back in request order;
+    /// Serves a batch: `jobs` workers take the requests in order, each the
+    /// next one nobody has taken yet. Results come back in request order;
     /// one failed request is one `Err` entry, never a failed batch.
     pub fn run_batch(&self, requests: &[SolveRequest]) -> Vec<Result<ServeOutcome, ServeError>> {
-        let queue: JobQueue<(usize, SolveRequest)> = JobQueue::new();
+        let next = AtomicUsize::new(0);
         let results: Vec<Mutex<Option<Result<ServeOutcome, ServeError>>>> =
             requests.iter().map(|_| Mutex::new(None)).collect();
-        let jobs = self.config.jobs.max(1);
         std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| {
-                    while let Some((idx, req)) = queue.pop() {
-                        let result = self.serve_one(&req);
-                        *results[idx].lock().unwrap_or_else(|p| p.into_inner()) = Some(result);
-                    }
+            for _ in 0..self.config.jobs.max(1) {
+                scope.spawn(|| loop {
+                    let idx = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(req) = requests.get(idx) else { break };
+                    let result = self.serve_one(req);
+                    *results[idx].lock().unwrap_or_else(|p| p.into_inner()) = Some(result);
                 });
             }
-            for (idx, req) in requests.iter().cloned().enumerate() {
-                let depth = queue.push((idx, req), self.config.queue_capacity.max(1));
-                self.metrics.note_queue_depth(depth);
-            }
-            queue.close();
         });
         results
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
                     .unwrap_or_else(|p| p.into_inner())
-                    .expect("every queued request produces a result")
+                    .expect("every request produces a result")
             })
             .collect()
     }
@@ -456,8 +382,9 @@ impl SolveService {
         budget: Option<&Budget>,
     ) -> Result<ServeOutcome, ServeError> {
         // Double-check the cache: a previous flight for this key may have
-        // completed between our miss and our flight registration.
-        if let Some(cached) = self.cache.get(key) {
+        // completed between our miss and our flight registration. The miss
+        // is already counted, so this second look counts nothing.
+        if let Some(cached) = self.cache.peek(key) {
             return Ok(cached);
         }
         let hint = if self.config.warm_start {
@@ -568,7 +495,6 @@ impl SolveService {
             degraded: self.metrics.degraded.load(Ordering::Relaxed),
             errors: self.metrics.errors.load(Ordering::Relaxed),
             warm_hints: self.metrics.warm_hints.load(Ordering::Relaxed),
-            queue_peak: self.metrics.queue_peak.load(Ordering::Relaxed),
             solver: self.metrics.solver_totals(),
             verdict_proved: self.metrics.verdict_proved.load(Ordering::Relaxed),
             verdict_tested: self.metrics.verdict_tested.load(Ordering::Relaxed),
@@ -666,6 +592,19 @@ mod tests {
         assert_eq!(r.hits, 2);
         assert_eq!(r.solves, 2);
         assert_eq!(r.requests, 4);
+    }
+
+    #[test]
+    fn a_solved_request_counts_one_cache_miss() {
+        let (svc, solves) = counting_service(Duration::ZERO, false);
+        svc.serve_one(&SolveRequest {
+            m: 8,
+            ppg: PpgKind::And,
+        })
+        .unwrap();
+        assert_eq!(solves.load(Ordering::SeqCst), 1);
+        let r = svc.report();
+        assert_eq!((r.misses, r.hits), (1, 0), "{r}");
     }
 
     #[test]
@@ -811,32 +750,6 @@ mod tests {
         assert!(seen[2].1.is_some(), "m=9 borrows from m=8");
         assert!(seen[3].1.is_none(), "m=20 has no neighbor");
         assert_eq!(svc.report().warm_hints, 2);
-    }
-
-    #[test]
-    fn queue_backpressure_bounds_depth() {
-        let (svc, _) = counting_service(Duration::from_millis(1), false);
-        let svc = SolveService {
-            config: ServeConfig {
-                jobs: 2,
-                queue_capacity: 3,
-                ..ServeConfig::default()
-            },
-            ..svc
-        };
-        let reqs: Vec<SolveRequest> = (2..40)
-            .map(|m| SolveRequest {
-                m,
-                ppg: PpgKind::And,
-            })
-            .collect();
-        let out = svc.run_batch(&reqs);
-        assert!(out.iter().all(Result::is_ok));
-        assert!(
-            svc.report().queue_peak <= 3,
-            "peak {} exceeds capacity",
-            svc.report().queue_peak
-        );
     }
 
     /// An in-memory [`DesignStore`] for exercising the mart layer without

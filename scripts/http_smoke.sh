@@ -36,8 +36,15 @@ echo "$solve" | grep -q '"verdict":"proved"' \
     || { echo "FAIL: solve reply lacks a proved verdict: $solve"; exit 1; }
 echo "    POST /solve m=8: proved"
 
-# Target search wins at m = 8, so its outcome has no branch-and-bound
-# counters; the joint ILP wins at m = 3 (in milliseconds) and has them.
+# Target search wins at m = 8, but the joint ILP ran first, and the reply
+# counts its branch-and-bound work all the same.
+for counter in solver_nodes solver_lp_iters; do
+    echo "$solve" | grep -q "\"$counter\":[1-9]" \
+        || { echo "FAIL: m=8 reply has no $counter: $solve"; exit 1; }
+done
+echo "    POST /solve m=8: joint-ILP nodes and LP iterations counted"
+
+# The joint ILP wins at m = 3 (in milliseconds).
 solve=$(curl -sS -X POST "http://$addr/solve" \
     -H 'Content-Type: application/json' -d '{"m": 3, "ppg": "and"}')
 echo "$solve" | grep -q '"strategy":"joint-ilp"' \

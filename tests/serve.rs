@@ -152,7 +152,6 @@ fn thirty_two_threads_on_four_keys_solve_exactly_four_times() {
         solver,
         ServeConfig {
             jobs: 32,
-            queue_capacity: 32,
             ..ServeConfig::default()
         },
     )
@@ -203,7 +202,6 @@ fn concurrent_identical_http_posts_coalesce_to_one_solve() {
         solver,
         ServeConfig {
             jobs: 8,
-            queue_capacity: 16,
             ..ServeConfig::default()
         },
     )
