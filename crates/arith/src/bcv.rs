@@ -8,7 +8,6 @@ use std::ops::Index;
 
 /// Bit count vector: `v[j]` is the number of partial-product bits with
 /// weight `2^j`.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Bcv(Vec<u32>);
 

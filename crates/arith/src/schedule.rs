@@ -11,7 +11,6 @@ use std::error::Error;
 use std::fmt;
 
 /// Compressor counts for one stage (indexed by column of the incoming BCV).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StageCounts {
     /// 3:2 compressors (full adders) per column.
@@ -39,7 +38,6 @@ impl StageCounts {
 }
 
 /// A multi-stage compressor-tree schedule.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CompressionSchedule {
     /// Per-stage compressor counts; stage `i` applies to the BCV produced

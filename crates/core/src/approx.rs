@@ -23,7 +23,6 @@ use gomil_netlist::Netlist;
 use gomil_prefix::{ppf_csl_sum, TwoRows};
 
 /// Empirical error statistics of an approximate multiplier.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ErrorStats {
     /// Largest absolute error observed.

@@ -18,7 +18,6 @@ use std::time::{Duration, Instant};
 /// "the CT dominates the area of a multiplier, while the CT and the
 /// prefix structure together dominate the delay").
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RegionBreakdown {
     /// Partial product generator area.
     pub ppg: f64,

@@ -10,7 +10,6 @@ use gomil_netlist::DesignMetrics;
 use std::fmt;
 
 /// Measured quality of results for one design.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone)]
 pub struct DesignReport {
     /// Design name (e.g. `GOMIL-AND-16`).
@@ -104,7 +103,6 @@ pub fn solve_summary(sol: &GlobalSolution) -> String {
 }
 
 /// One row of a Fig. 3-style normalized comparison.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct NormalizedRow {
     /// Design name.

@@ -26,9 +26,16 @@ use std::io;
 /// (pricing, cuts, budgets) do not warrant a bump, for the same reason
 /// they are excluded from the solve fingerprint: they never change the
 /// certified optimum.
-pub const SOLVER_VERSION: u32 = 2;
+pub const SOLVER_VERSION: u32 = 3;
 
 /// Flattens a finished design into the service's cacheable record.
+///
+/// The solve counters count the joint ILP's work whenever the ladder ran
+/// it, whichever rung won. Its gap and incumbent timeline are carried
+/// only when its design is the one served and its model was the full
+/// Eq. 27 (at most `cfg.l` columns; wider models truncate the prefix
+/// objective to `c_{L−1:0}`). Every other design has no proved bound: an
+/// infinite gap and an empty timeline.
 ///
 /// The `degraded` flag implements the serving layer's caching contract: a
 /// result is degraded — served to its requester but never cached — when
@@ -45,11 +52,10 @@ fn outcome_from(design: &GomilDesign, cfg: &GomilConfig) -> ServeOutcome {
     let degraded = degradation.degraded()
         || degradation.budget_limited()
         || degradation.winner == Some(Rung::DaddaPrefix);
-    // The joint ILP's stats whenever the ladder ran it, whichever rung won,
-    // so its work is always counted; the gap and timeline describe its own
-    // incumbent. Zero counters and gap, empty timeline when it did not run.
     let stats = sol.solver_stats.as_ref();
     let count = |field: fn(&SolveStats) -> u64| stats.map_or(0, field);
+    let proof =
+        stats.filter(|_| degradation.winner == Some(Rung::JointIlp) && sol.vs.len() <= cfg.l);
     let root = stats.map(|s| s.root).unwrap_or_default();
     // The verdict the admission gate stamped during the build. `Failed`
     // cannot reach this point (the build errors out instead); `Skipped`
@@ -72,7 +78,7 @@ fn outcome_from(design: &GomilDesign, cfg: &GomilConfig) -> ServeOutcome {
         objective: sol.objective,
         degraded,
         vs_counts: sol.vs.counts().to_vec(),
-        solver_gap: stats.map_or(0.0, |s| s.gap),
+        solver_gap: proof.map_or(f64::INFINITY, |s| s.gap),
         verdict,
         counters: SolveCounters {
             solver_nodes: count(|s| s.nodes),
@@ -88,7 +94,7 @@ fn outcome_from(design: &GomilDesign, cfg: &GomilConfig) -> ServeOutcome {
             root_lp_iters: root.root_lp_iters,
             cuts_added: root.cuts_added,
         },
-        improvements: stats
+        improvements: proof
             .map(|s| {
                 s.improvements
                     .iter()
@@ -167,5 +173,33 @@ mod tests {
         let r = svc.report();
         assert_eq!(r.solves, 1);
         assert_eq!(r.hits, 1);
+    }
+
+    #[test]
+    fn the_gap_and_the_stream_describe_the_served_design() {
+        // `fast` gives the joint ILP a 2-s budget.
+        let solve = |m| {
+            let req = SolveRequest {
+                m,
+                ppg: PpgKind::And,
+            };
+            gomil_solver(&GomilConfig::fast())(&req, None, None).unwrap()
+        };
+        // 5 columns: the joint ILP's full Eq. 27 proves the optimum and wins.
+        let small = solve(3);
+        assert_eq!(small.strategy, "joint-ilp");
+        assert_eq!(small.solver_gap, 0.0);
+        assert!(!small.improvements.is_empty());
+        // 11 columns, past L = 10: the ILP runs on a truncated objective,
+        // and target search wins. Its work still counts.
+        let truncated = solve(6);
+        assert_eq!(truncated.strategy, "target-search");
+        assert_eq!(truncated.solver_gap, f64::INFINITY);
+        assert!(truncated.improvements.is_empty());
+        assert!(truncated.counters.solver_nodes > 0);
+        // 17 columns, past 16: the joint ILP does not run.
+        let wide = solve(9);
+        assert_eq!(wide.solver_gap, f64::INFINITY);
+        assert_eq!(wide.counters.solver_nodes, 0);
     }
 }

@@ -245,6 +245,11 @@ fn post_lp_solves_uploaded_models() {
     let accented = "minimize\n obj: é\nend";
     let bad = client::request(&addr, "POST", "/lp", &[], accented.as_bytes()).unwrap();
     assert_eq!(bad.status, 400, "{}", bad.text());
+    // So is a coefficient that overflows to infinity.
+    let huge = "Minimize\n obj: x\nSubject To\n c: 1e400 x >= 1\nEnd\n";
+    let bad = client::request(&addr, "POST", "/lp", &[], huge.as_bytes()).unwrap();
+    assert_eq!(bad.status, 400, "{}", bad.text());
+    assert!(bad.text().contains("line 4"), "{}", bad.text());
     let empty = client::request(&addr, "POST", "/lp", &[], b"").unwrap();
     assert_eq!(empty.status, 400);
     let wrong_method = client::request(&addr, "GET", "/lp", &[], b"").unwrap();

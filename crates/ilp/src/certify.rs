@@ -214,9 +214,10 @@ pub fn certify_values(
             Cmp::Le => lhs - c.rhs,
             Cmp::Ge => c.rhs - lhs,
             Cmp::Eq => (lhs - c.rhs).abs(),
-        }
-        .max(0.0);
-        if residual > tol {
+        };
+        // A NaN activity (an infinite coefficient times 0) fails closed;
+        // `f64::max` would drop it.
+        if residual.is_nan() || residual > tol {
             return Err(CertifyError::ConstraintViolation {
                 constraint: c.name.clone(),
                 index: ci,
@@ -241,7 +242,7 @@ pub fn certify(model: &Model, sol: &Solution) -> Result<Certificate, CertifyErro
     let recomputed = model.objective.eval(sol.values());
     let reported = sol.objective();
     let obj_err = (reported - recomputed).abs();
-    if obj_err > CERT_OBJ_TOL * reported.abs().max(1.0) {
+    if obj_err.is_nan() || obj_err > CERT_OBJ_TOL * reported.abs().max(1.0) {
         return Err(CertifyError::ObjectiveMismatch {
             reported,
             recomputed,
@@ -376,6 +377,37 @@ mod tests {
             }
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_nan_row_activity_is_a_violation() {
+        // x = 0 times an infinite coefficient is NaN, which satisfies no row.
+        let mut m = Model::new("nan-row");
+        let x = m.add_integer("x", 0.0, 10.0);
+        m.add_constraint("c", f64::INFINITY * x, Cmp::Ge, 1.0);
+        m.set_objective(LinExpr::from(x), Sense::Minimize);
+        assert!(matches!(
+            certify_values(&m, &[0.0], CERT_FEAS_TOL).unwrap_err(),
+            CertifyError::ConstraintViolation { index: 0, residual, .. } if residual.is_nan()
+        ));
+    }
+
+    #[test]
+    fn a_nan_objective_is_a_mismatch() {
+        // The knapsack optimum takes b alone (a = 0), so an infinite
+        // objective coefficient on a recomputes to NaN.
+        let mut m = Model::new("k");
+        let a = m.add_binary("a");
+        let b = m.add_binary("b");
+        m.add_constraint("cap", 3.0 * a + 4.0 * b, Cmp::Le, 5.0);
+        m.set_objective(5.0 * a + 6.0 * b, Sense::Maximize);
+        let s = m.solve().unwrap();
+        assert_eq!(s.values(), &[0.0, 1.0]);
+        m.set_objective(f64::INFINITY * a + 6.0 * b, Sense::Maximize);
+        assert!(matches!(
+            certify(&m, &s).unwrap_err(),
+            CertifyError::ObjectiveMismatch { recomputed, .. } if recomputed.is_nan()
+        ));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! `Subject To`, `Bounds`, `Generals`/`Binaries`, `End`.
 
 use crate::model::{Cmp, Model, Sense, VarKind};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -132,11 +132,29 @@ struct VarDraft {
     free: bool,
 }
 
-/// Signed linear expression accumulated term by term.
+/// Signed linear expression accumulated term by term, repeated
+/// variables merged.
 #[derive(Default)]
 struct ExprDraft {
-    terms: Vec<(usize, f64)>,
+    terms: BTreeMap<usize, f64>,
     constant: f64,
+}
+
+impl ExprDraft {
+    /// Adds `v` to the coefficient of variable `var`, or to the constant
+    /// when `var` is `None`. A sum that overflows is an error on `lineno`.
+    fn add(&mut self, var: Option<usize>, v: f64, lineno: usize) -> Result<(), LpParseError> {
+        let slot = match var {
+            Some(vi) => self.terms.entry(vi).or_insert(0.0),
+            None => &mut self.constant,
+        };
+        *slot += v;
+        if slot.is_finite() {
+            Ok(())
+        } else {
+            Err(err(lineno, "coefficients or constants sum out of range"))
+        }
+    }
 }
 
 struct Parser {
@@ -157,10 +175,11 @@ fn err(line: usize, msg: impl Into<String>) -> LpParseError {
 }
 
 /// Lexes one line into tokens. `+`/`-` immediately followed by a digit
-/// or dot fuse into a signed number; `inf`/`infinity` words become
-/// infinite [`Tok::Num`]s so bounds like `-inf <= x` work. The lexer
-/// reads bytes, so a non-ASCII character is refused before it could be
-/// split mid-sequence.
+/// or dot fuse into a signed number, which must be finite (`1e400` is
+/// refused); `inf`/`infinity` words become infinite [`Tok::Num`]s so
+/// bounds like `-inf <= x` work, and only the Bounds section accepts
+/// them. The lexer reads bytes, so a non-ASCII character is refused
+/// before it could be split mid-sequence.
 fn lex_line(text: &str, lineno: usize) -> Result<Vec<Tok>, LpParseError> {
     if let Some(c) = text.chars().find(|c| !c.is_ascii()) {
         return Err(err(
@@ -202,11 +221,7 @@ fn lex_line(text: &str, lineno: usize) -> Result<Vec<Tok>, LpParseError> {
                     while i < bytes.len() && is_num_char(bytes[i] as char, bytes.get(i - 1)) {
                         i += 1;
                     }
-                    let lit = &text[start..i];
-                    let v = lit
-                        .parse::<f64>()
-                        .map_err(|_| err(lineno, format!("bad number `{lit}`")))?;
-                    toks.push(Tok::Num(v));
+                    toks.push(Tok::Num(number(&text[start..i], lineno)?));
                 } else {
                     toks.push(if c == '+' { Tok::Plus } else { Tok::Minus });
                     i += 1;
@@ -218,11 +233,7 @@ fn lex_line(text: &str, lineno: usize) -> Result<Vec<Tok>, LpParseError> {
                 while i < bytes.len() && is_num_char(bytes[i] as char, bytes.get(i - 1)) {
                     i += 1;
                 }
-                let lit = &text[start..i];
-                let v = lit
-                    .parse::<f64>()
-                    .map_err(|_| err(lineno, format!("bad number `{lit}`")))?;
-                toks.push(Tok::Num(v));
+                toks.push(Tok::Num(number(&text[start..i], lineno)?));
             }
             w if w.is_alphanumeric() || w == '_' => {
                 let start = i;
@@ -243,6 +254,20 @@ fn lex_line(text: &str, lineno: usize) -> Result<Vec<Tok>, LpParseError> {
         }
     }
     Ok(toks)
+}
+
+/// The value of the number literal `lit`, which must be finite.
+fn number(lit: &str, lineno: usize) -> Result<f64, LpParseError> {
+    match lit.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(v),
+        Ok(_) => Err(err(lineno, format!("number `{lit}` is out of range"))),
+        Err(_) => Err(err(lineno, format!("bad number `{lit}`"))),
+    }
+}
+
+/// Error for an `inf` word outside the Bounds section.
+fn inf_outside_bounds(lineno: usize) -> LpParseError {
+    err(lineno, "`inf` is allowed only in the Bounds section")
 }
 
 /// Whether `c` continues a number literal started earlier. `+`/`-`
@@ -339,22 +364,22 @@ impl Parser {
                 }
             }
             match toks.get(at) {
+                Some(Tok::Num(v)) if v.is_infinite() => return Err(inf_outside_bounds(lineno)),
                 Some(Tok::Num(v)) => {
                     let v = sign * v;
                     at += 1;
-                    if let Some(Tok::Word(name)) = toks.get(at) {
-                        let name = name.clone();
-                        let vi = self.var(&name);
-                        expr.terms.push((vi, v));
-                        at += 1;
-                    } else {
-                        expr.constant += v;
-                    }
+                    let var = match toks.get(at) {
+                        Some(Tok::Word(name)) => {
+                            at += 1;
+                            Some(self.var(name))
+                        }
+                        _ => None,
+                    };
+                    expr.add(var, v, lineno)?;
                 }
                 Some(Tok::Word(name)) => {
-                    let name = name.clone();
-                    let vi = self.var(&name);
-                    expr.terms.push((vi, sign));
+                    let vi = self.var(name);
+                    expr.add(Some(vi), sign, lineno)?;
                     at += 1;
                 }
                 _ if saw_sign => return Err(err(lineno, "dangling sign in expression")),
@@ -456,7 +481,7 @@ impl Parser {
                 lb = lb.max(0.0);
                 ub = ub.min(1.0);
             }
-            if lb > ub {
+            if lb > ub || lb == f64::INFINITY || ub == f64::NEG_INFINITY {
                 return Err(err(
                     lineno,
                     format!("variable `{}` has empty bounds [{lb}, {ub}]", d.name),
@@ -465,17 +490,17 @@ impl Parser {
             handles.push(model.add_var(d.name.clone(), d.kind, lb, ub));
         }
         let mut obj = crate::LinExpr::new();
-        for &(vi, c) in &self.objective.terms {
+        for (&vi, &c) in &self.objective.terms {
             obj.add_term(handles[vi], c);
         }
         obj.add_constant(self.objective.constant);
         model.set_objective(obj, sense);
         for (name, expr, cmp, rhs) in self.constraints {
             let mut lhs = crate::LinExpr::new();
-            for &(vi, c) in &expr.terms {
+            for (&vi, &c) in &expr.terms {
                 lhs.add_term(handles[vi], c);
             }
-            model.add_constraint(name, lhs, cmp, rhs - expr.constant);
+            model.add_constraint(name, lhs, cmp, rhs);
         }
         Ok(model)
     }
@@ -613,6 +638,15 @@ impl Model {
                         } else {
                             let (rhs, skip) = signed_num(&toks, at)
                                 .ok_or_else(|| err(lineno, "expected right-hand side"))?;
+                            if rhs.is_infinite() {
+                                return Err(inf_outside_bounds(lineno));
+                            }
+                            // The left-hand side's constant folds into the
+                            // right-hand side.
+                            let rhs = rhs - row_expr.constant;
+                            if !rhs.is_finite() {
+                                return Err(err(lineno, "right-hand side out of range"));
+                            }
                             at += skip;
                             let label = row_label.take().unwrap_or_else(|| {
                                 p.anon_rows += 1;
@@ -756,25 +790,83 @@ mod tests {
         );
     }
 
+    /// Malformed text is refused with a message and the line it is on.
+    /// Every number must be finite, and `inf` is a bound, never a
+    /// coefficient, constant or right-hand side.
     #[test]
     fn parser_rejects_malformed_input() {
-        for (text, want) in [
-            ("", "Minimize/Maximize"),
-            ("Subject To\n r: x <= 1\nEnd", "Minimize/Maximize"),
+        for (text, want, line) in [
+            ("", "Minimize/Maximize", 1),
+            ("Subject To\n r: x <= 1\nEnd", "Minimize/Maximize", 3),
             (
                 "Minimize\n obj: x\nSubject To\n r: x <=\nEnd",
                 "unterminated",
+                5,
             ),
             (
                 "Minimize\n obj: x\nBounds\n 3 <= x <= 1\nEnd",
                 "empty bounds",
+                5,
             ),
-            ("Minimize\n obj: x ?\nEnd", "unexpected character"),
-            ("Minimize\n obj: é\nEnd", "unexpected character `é`"),
+            (
+                "Minimize\n obj: x\nBounds\n x >= inf\nEnd",
+                "empty bounds",
+                5,
+            ),
+            ("Minimize\n obj: x ?\nEnd", "unexpected character", 2),
+            ("Minimize\n obj: é\nEnd", "unexpected character `é`", 2),
+            (
+                "Minimize\n obj: x\nSubject To\n c: 1e400 x >= 1\nEnd",
+                "number `1e400` is out of range",
+                4,
+            ),
+            (
+                "Minimize\n obj: x + y\nSubject To\n c: inf x + y >= 1\nGenerals\n x y\nEnd",
+                "only in the Bounds section",
+                4,
+            ),
+            (
+                "Minimize\n obj: x\nSubject To\n c: x + inf <= inf\nEnd",
+                "only in the Bounds section",
+                4,
+            ),
+            (
+                "Minimize\n obj: x\nSubject To\n c: x >= inf\nEnd",
+                "only in the Bounds section",
+                4,
+            ),
+            (
+                "Minimize\n obj: inf x\nSubject To\n c: x >= 1\nEnd",
+                "only in the Bounds section",
+                2,
+            ),
+            (
+                "Minimize\n obj: x\nSubject To\n c: 1e308 x + 1e308 x >= 1\nEnd",
+                "out of range",
+                4,
+            ),
+            (
+                "Minimize\n obj: x\nSubject To\n c: x - 1e308 <= 1e308\nEnd",
+                "out of range",
+                4,
+            ),
         ] {
             let e = Model::from_lp_format(text).expect_err(text);
             assert!(e.msg.contains(want), "`{}` → {}", text, e);
-            assert!(e.line >= 1);
+            assert_eq!(e.line, line, "`{}` → {}", text, e);
         }
+    }
+
+    /// `inf` words stay legal in the Bounds section.
+    #[test]
+    fn bounds_accept_infinite_words() {
+        let text = "Minimize\n obj: x + y + z\nSubject To\n r: x + y + z >= 1\n\
+                    Bounds\n -inf <= x\n y <= inf\n z free\n -infinity <= x <= 2\nEnd";
+        let lp = Model::from_lp_format(text)
+            .expect("valid LP text")
+            .to_lp_format();
+        assert!(lp.contains("x <= 2"), "{lp}");
+        assert!(lp.contains("y >= 0"), "{lp}");
+        assert!(lp.contains("z free"), "{lp}");
     }
 }

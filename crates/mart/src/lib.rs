@@ -1,10 +1,10 @@
 //! # gomil-mart — a precomputed design mart for zero-solve serving
 //!
-//! `BENCH_serve.json` puts warm-cache serving four orders of magnitude
-//! above cold solving, so the scaling answer for the hot part of the
-//! (m, PPG kind, config) lattice is to make warmth the default: sweep the
-//! lattice through the full solver/ladder/verify pipeline **offline**,
-//! persist the certified outcomes in a versioned, checksummed store, and
+//! A cache hit costs orders of magnitude less than a cold solve, so the
+//! scaling answer for the hot part of the (m, PPG kind, config) lattice is
+//! to make warmth the default: sweep the lattice through the full
+//! solver/ladder/verify pipeline **offline**, persist the certified
+//! outcomes in a versioned, checksummed store, and
 //! let [`SolveService`](gomil_serve::SolveService) consult that store
 //! before the LRU cache and the solver. A mart-covered request is then a
 //! hash-plus-key-compare lookup — zero solver invocations, zero admission

@@ -17,7 +17,6 @@ use std::collections::BTreeSet;
 
 /// FPGA mapping result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LutMetrics {
     /// Number of K-input LUTs.
     pub luts: usize,

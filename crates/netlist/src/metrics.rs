@@ -6,7 +6,6 @@ use crate::netlist::Netlist;
 ///
 /// These stand in for the paper's Design Compiler / PrimeTime measurements;
 /// all values are in the relative units of the gate cost model.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignMetrics {
     /// Total cell area (NAND2 equivalents).

@@ -14,7 +14,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Power estimation report.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerEstimate {
     /// Relative dynamic power (activity-weighted capacitance per vector).

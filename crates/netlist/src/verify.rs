@@ -30,7 +30,6 @@ use std::sync::Mutex;
 
 /// How much verification the pipeline runs on each emitted design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum VerifyMode {
     /// No verification: every design is `Skipped`. For benchmarking the
     /// solve path only — nothing produced under `Off` should be trusted.
@@ -117,7 +116,6 @@ impl Default for VerifyConfig {
 /// Strength ordering of verdicts, for admission policies: `Failed` is the
 /// weakest, `Proved` the strongest, and a cache can demand a minimum tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum VerdictTier {
     /// A counterexample or structural defect exists.
     Failed,

@@ -14,11 +14,10 @@ use std::time::Duration;
 macro_rules! solve_counters {
     ($($name:ident: $help:literal,)*) => {
         /// The per-solve effort counters a [`ServeOutcome`] carries: zero
-        /// for whatever the winning rung did not run (a non-ILP rung has
-        /// no branch-and-bound counters, a skipped verdict simulated no
-        /// vectors).
+        /// for work the solve did not do (no branch-and-bound counters
+        /// when the joint ILP did not run, whichever rung won; no vectors
+        /// for a skipped verdict).
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
         pub struct SolveCounters {
             $(#[doc = $help] pub $name: u64,)*
         }
@@ -90,7 +89,6 @@ impl SolveCounters {
 /// re-run `build_gomil` (the report tells them the exact strategy and
 /// objective they will get).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ServeOutcome {
     /// Design name (e.g. `GOMIL-AND-16`).
     pub name: String,
@@ -114,20 +112,20 @@ pub struct ServeOutcome {
     /// Final BCV column counts (LSB first, entries 1 or 2) — the incumbent
     /// profile offered to neighbor requests as a warm start.
     pub vs_counts: Vec<u32>,
-    /// Final relative MIP gap of the ILP rung whenever the ladder ran it,
-    /// whichever rung won: the gap of the ILP's own incumbent, not of the
-    /// served design (0 for a proved optimum or when no ILP ran). A
-    /// root-only solve with no dual bound
-    /// yet has an *infinite* gap, which the wire format carries as the
-    /// explicit sentinel `inf` — distinguishable from both 0 and a
+    /// Relative optimality gap of the served design: the joint ILP's final
+    /// MIP gap when that ILP's design won with the full Eq. 27 objective
+    /// (0 for a proved optimum), and *infinite* for every other design,
+    /// which no solver bounded. The wire format carries an infinite gap
+    /// as the explicit sentinel `inf`, distinguishable from both 0 and a
     /// missing field.
     pub solver_gap: f64,
     /// Equivalence-verdict tier of the emitted netlist.
     pub verdict: VerdictTier,
-    /// Incumbent-improvement timeline of the ILP rung whenever the ladder
-    /// ran it, whichever rung won: one `(microseconds from solve start,
-    /// objective)` pair per admitted improvement of the ILP's own
-    /// incumbent, in admission order (empty when no ILP ran). This is
+    /// Incumbent-improvement timeline of the served design, under the
+    /// same rule as [`solver_gap`](Self::solver_gap): one `(microseconds
+    /// from solve start, objective)` pair per admitted improvement of the
+    /// joint ILP's incumbent, in admission order, when that ILP's design
+    /// won with the full Eq. 27 objective, and empty otherwise. This is
     /// what `POST /solve?stream=1` replays as chunked progress events.
     pub improvements: Vec<(u64, f64)>,
     /// The solve's effort counters.

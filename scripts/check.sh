@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local gate: everything CI would run, in the order that fails fastest.
 #
-#   scripts/check.sh            # fmt + build + tests + traced gen-ilp pass + rustdoc + clippy
+#   scripts/check.sh            # fmt + doc refs + build + tests + traced gen-ilp pass + rustdoc + clippy
 #
 # Works fully offline (the workspace has no network dependencies).
 set -euo pipefail
@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> doc references (README, DESIGN and EXPERIMENTS cite only bins, examples and ledgers that exist)"
+scripts/doc_refs.sh
 
 echo "==> cargo build --release"
 cargo build --release

@@ -44,12 +44,19 @@ for counter in solver_nodes solver_lp_iters; do
 done
 echo "    POST /solve m=8: joint-ILP nodes and LP iterations counted"
 
-# The joint ILP wins at m = 3 (in milliseconds).
+# No solver bounded the served target-search design, so its gap is infinite.
+echo "$solve" | grep -q '"solver_gap":"inf"' \
+    || { echo "FAIL: m=8 reply claims a finite gap: $solve"; exit 1; }
+echo "    POST /solve m=8: gap inf"
+
+# The joint ILP wins at m = 3 (in milliseconds) and proves its design.
 solve=$(curl -sS -X POST "http://$addr/solve" \
     -H 'Content-Type: application/json' -d '{"m": 3, "ppg": "and"}')
 echo "$solve" | grep -q '"strategy":"joint-ilp"' \
     || { echo "FAIL: m=3 reply is not a joint-ILP design: $solve"; exit 1; }
-echo "    POST /solve m=3: joint ILP"
+echo "$solve" | grep -q '"solver_gap":0,' \
+    || { echo "FAIL: m=3 reply lacks the proved gap 0: $solve"; exit 1; }
+echo "    POST /solve m=3: joint ILP, gap 0"
 
 # /metrics must be Prometheus-parseable: every non-comment line is
 # "name[{labels}] value" with a numeric value, the solves were counted,
