@@ -145,9 +145,10 @@ pub struct DegradationReport {
     /// The rung whose solution was returned, once the ladder finished.
     pub winner: Option<Rung>,
     /// Whether the shared wall-clock budget was already exhausted (or
-    /// cancelled) when the ladder finished — the returned solution may
-    /// have been shaped by the deadline even if no rung outright failed
-    /// (e.g. a hill-climb that stopped mid-round).
+    /// cancelled) when the ladder finished, or the joint ILP's half of a
+    /// deadline ran out — the returned solution may have been shaped by
+    /// the deadline even if no rung outright failed (e.g. a hill-climb
+    /// that stopped mid-round).
     pub budget_exhausted: bool,
 }
 
@@ -824,7 +825,8 @@ pub fn optimize_global(v0: &Bcv, cfg: &GomilConfig) -> Result<GlobalSolution, Go
 /// * the joint ILP only runs for ≤ 16 columns (its size grows as
 ///   `Θ(n·L²)`; past that a dense-tableau B&B stops being productive
 ///   within sane budgets — this mirrors the paper's own scalability
-///   concession, the `L` truncation and runtime cap);
+///   concession, the `L` truncation and runtime cap), and under a
+///   deadline it gets half of the time that remains;
 /// * the target search always runs while budget remains, and the best
 ///   objective across successful rungs wins;
 /// * the final Dadda rung runs only when nothing else succeeded and is
@@ -857,9 +859,17 @@ pub fn optimize_global_hinted(
     } else {
         None
     };
+    // Under a deadline the joint ILP gets half of what remains, so target
+    // search keeps the other half; the cancel flag stays shared.
+    let ilp_budget = match budget.remaining() {
+        Some(left) => budget.child_with_limit(left / 2),
+        None => budget.clone(),
+    };
     ladder.step(Rung::JointIlp, skip, || {
-        joint_ilp_hinted(v0, cfg, budget, hint).map_err(RungFailure::Solve)
+        joint_ilp_hinted(v0, cfg, &ilp_budget, hint).map_err(RungFailure::Solve)
     });
+    // An ILP stopped by its half was shaped by the deadline.
+    ladder.budget_hit |= ilp_budget.exhausted();
 
     // Rung 2: the target search — always competitive, scores the full
     // prefix cost, and its result is kept when it beats the ILP.
@@ -871,12 +881,14 @@ pub fn optimize_global_hinted(
 }
 
 /// The ladder's running record: every attempt so far, the best solution
-/// with its rung, and the statistics of the ILP rung once it has run.
+/// with its rung, the statistics of the ILP rung once it has run, and
+/// whether a rung's slice of the budget ran out.
 struct Ladder<'a> {
     budget: &'a Budget,
     attempts: Vec<RungAttempt>,
     best: Option<(Rung, GlobalSolution)>,
     stats: Option<SolveStats>,
+    budget_hit: bool,
 }
 
 impl<'a> Ladder<'a> {
@@ -886,6 +898,7 @@ impl<'a> Ladder<'a> {
             attempts: Vec::new(),
             best: None,
             stats: None,
+            budget_hit: false,
         }
     }
 
@@ -954,7 +967,7 @@ impl<'a> Ladder<'a> {
         let report = DegradationReport {
             winner: self.best.as_ref().map(|(rung, _)| *rung),
             attempts: self.attempts,
-            budget_exhausted: self.budget.check().is_err(),
+            budget_exhausted: self.budget_hit || self.budget.check().is_err(),
         };
         match self.best {
             Some((_, mut sol)) => {

@@ -5,8 +5,9 @@
 //! responses — that fronts a [`gomil_serve::SolveService`] with the
 //! robustness layer every production solver needs:
 //!
-//! * **admission control** — a fixed number of concurrent solve permits
-//!   plus a bounded, deadline-aware waiting room;
+//! * **admission control** — a fixed number of concurrent solve slots
+//!   plus a bounded, deadline-aware waiting room, with admitted solves
+//!   run on long-lived workers;
 //! * **load shedding** — arrivals past the queue bound (or whose own
 //!   deadline cannot be met) answer `429 Too Many Requests` with a
 //!   `Retry-After` estimate instead of piling up;
@@ -24,6 +25,7 @@
 //! |---|---|
 //! | `POST /solve` | JSON config → certified outcome JSON |
 //! | `POST /solve?stream=1` | chunked NDJSON: heartbeats, incumbents, `done` |
+//! | `POST /lp` | LP-format model → status, objective, gap, certified assignment |
 //! | `GET /design/{fingerprint}` | cache lookup by solve fingerprint, 404 on miss |
 //! | `GET /metrics` | Prometheus text exposition |
 //! | `GET /healthz` | `200 ok` / `503 draining` |

@@ -5,32 +5,34 @@
 //!
 //! ```text
 //! accept ──► parse ──► route
-//!                       │ cache probe (hit answers immediately, no permit)
+//!                       │ cache probe (hit answers immediately, no slot)
 //!                       ▼
-//!                  admission control
+//!                  Solves::start (/solve, ?stream=1 and /lp alike)
 //!                  │        │        │
-//!               permit    queue     shed ──► 429 + Retry-After
+//!                 slot     wait      shed ──► 429 + Retry-After
 //!                  │     (bounded,  draining ──► 503
 //!                  │      deadline-aware)
 //!                  ▼
-//!           SolveService::serve_with(request, budget)
-//!                  │  on a long-lived solve-pool worker (see SolvePool);
-//!                  │  budget = per-request deadline + cancel flag;
-//!                  │  cancelled on client disconnect / server drain
+//!           solve-pool worker: SolveService::serve_with(request, budget)
+//!                  │  (Model::solve_with for /lp); budget = per-request
+//!                  │  deadline + cancel flag, cancelled on client
+//!                  │  disconnect / server drain; the slot frees when
+//!                  │  the solve returns or panics
 //!                  ▼
 //!           ServeOutcome JSON (or chunked incumbent stream)
 //! ```
 //!
 //! ## Drain state machine
 //!
-//! `Running ──shutdown()──► Draining ──(in-flight done | budget up)──► Stopped`
+//! `Running ──shutdown()──► Draining ──(no solve or connection left | budget up)──► Stopped`
 //!
 //! Draining stops accepting, answers queued waiters and new requests with
-//! 503, and gives in-flight solves [`HttpdConfig::drain_budget`] to
-//! finish. Past the budget every registered request [`Budget`] is
-//! cancelled — the solver unwinds its degradation ladder and the request
-//! still gets a correct (degraded) answer. Once idle, the cache is
-//! persisted and [`Server::run`] returns.
+//! 503, and gives running solves [`HttpdConfig::drain_budget`] to finish.
+//! Past the budget every running solve's [`Budget`] is cancelled — the
+//! solver unwinds its degradation ladder and the request still gets a
+//! correct (degraded) answer. Once idle, the cache is persisted and
+//! [`Server::run`] returns. Admission, the solve pool, the running
+//! budgets and the drain share one state, [`Solves`].
 
 use crate::http::{read_request, write_response, ChunkedWriter, HttpError, Request};
 use crate::json::{self, Json};
@@ -43,18 +45,18 @@ use gomil_serve::{
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs of the HTTP layer (the solve pipeline itself is
 /// configured on the injected [`SolveService`]).
 #[derive(Debug, Clone)]
 pub struct HttpdConfig {
-    /// Solves allowed to run concurrently (admission permits).
+    /// Solves allowed to run concurrently (admission slots).
     pub max_inflight: usize,
-    /// Requests allowed to wait for a permit beyond `max_inflight`;
+    /// Requests allowed to wait for a slot beyond `max_inflight`;
     /// arrivals past this bound are shed with 429.
     pub max_queue: usize,
     /// Deadline applied to requests that do not carry their own
@@ -75,150 +77,197 @@ impl Default for HttpdConfig {
     }
 }
 
-/// What admission control decided for one solve request.
-enum Ticket {
-    /// Run now; the caller must call [`Admission::release`] afterwards.
-    Admitted,
-    /// Queue and in-flight capacity are exhausted (or the request's own
-    /// deadline would pass before a permit frees up): shed.
+/// Why [`Solves::start`] turned a solve away.
+#[derive(Debug, PartialEq)]
+enum Refusal {
+    /// Every slot is taken and the waiting room is full, or the request's
+    /// own deadline passed while it waited: 429.
     Shed,
-    /// The server is draining: no new work.
+    /// The server is draining: 503.
     Draining,
 }
 
+/// A solve, boxed for a pool worker.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// What [`Solves`] guards.
 #[derive(Default)]
-struct AdmissionState {
-    inflight: usize,
+struct SolveState {
+    /// The running solves' budgets by slot id, one per taken slot; the
+    /// drain cancels them.
+    running: HashMap<u64, Budget>,
+    next_slot: u64,
+    /// Requests waiting for a slot.
     waiting: usize,
     draining: bool,
+    /// Pool workers with no solve, the most recently idle last.
+    idle: Vec<mpsc::Sender<Job>>,
+    /// Connections whose threads have not ended.
+    open_conns: usize,
 }
 
-/// Permits + bounded waiting room. A classic counting semaphore except
-/// that waiters are deadline-aware (a queued request sheds itself once
-/// its own deadline means it could never finish) and drain-aware (drain
-/// wakes every waiter with [`Ticket::Draining`]).
-struct Admission {
-    state: Mutex<AdmissionState>,
+/// The server's solves as one state under one lock: admission (slots and
+/// a bounded, deadline-aware waiting room), the workers that run admitted
+/// solves, the running solves' budgets, the draining flag and the open
+/// connections. The one condvar wakes the waiters and the drain whenever
+/// a slot frees, a connection closes or the drain starts.
+///
+/// Admitted solves run on long-lived workers, the most recently idle
+/// first. Connection threads live for one connection each. glibc's malloc
+/// gives every thread an arena, and a wide solve leaves a few MiB
+/// resident in the arena that ran it, so solving on connection threads
+/// would make the resident set depend on how connection lifetimes
+/// happened to overlap. Here a new worker starts only when every worker
+/// is busy, so solves run on as many threads as ever solved at once (at
+/// most `max_inflight`), and connection threads only parse and reply.
+/// Idle workers exit once the state is dropped.
+struct Solves {
+    max_inflight: usize,
+    max_queue: usize,
+    state: Mutex<SolveState>,
     changed: Condvar,
 }
 
-impl Admission {
-    fn new() -> Admission {
-        Admission {
-            state: Mutex::new(AdmissionState::default()),
+impl Solves {
+    fn new(max_inflight: usize, max_queue: usize) -> Solves {
+        Solves {
+            max_inflight,
+            max_queue,
+            state: Mutex::default(),
             changed: Condvar::new(),
         }
     }
 
-    fn acquire(&self, max_inflight: usize, max_queue: usize, deadline: Option<Instant>) -> Ticket {
-        let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        if s.draining {
-            return Ticket::Draining;
-        }
-        if s.inflight < max_inflight {
-            s.inflight += 1;
-            return Ticket::Admitted;
-        }
-        if s.waiting >= max_queue {
-            return Ticket::Shed;
-        }
-        s.waiting += 1;
-        loop {
-            if s.draining {
-                s.waiting -= 1;
-                return Ticket::Draining;
-            }
-            if s.inflight < max_inflight {
-                s.inflight += 1;
-                s.waiting -= 1;
-                return Ticket::Admitted;
-            }
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    // Deadline pressure: this request could not finish in
-                    // time even if it started now, so free its queue slot
-                    // for one that can.
-                    s.waiting -= 1;
-                    return Ticket::Shed;
-                }
-            }
-            let (guard, _) = self
-                .changed
-                .wait_timeout(s, Duration::from_millis(100))
-                .unwrap_or_else(|p| p.into_inner());
-            s = guard;
-        }
+    fn lock(&self) -> MutexGuard<'_, SolveState> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn release(&self) {
-        let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        s.inflight = s.inflight.saturating_sub(1);
-        drop(s);
-        self.changed.notify_all();
-    }
-
-    fn start_drain(&self) {
-        self.state
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .draining = true;
-        self.changed.notify_all();
-    }
-
-    fn snapshot(&self) -> (usize, usize, bool) {
-        let s = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        (s.inflight, s.waiting, s.draining)
-    }
-}
-
-/// An admitted solve, boxed for a [`SolvePool`] worker.
-type Job = Box<dyn FnOnce() + Send>;
-
-/// Long-lived threads that run the admitted solves, the most recently
-/// idle worker first.
-///
-/// Connection threads live for one connection each. glibc's malloc gives
-/// every thread an arena, and a wide solve leaves a few MiB resident in
-/// the arena that ran it, so solving on connection threads would make the
-/// resident set depend on how connection lifetimes happened to overlap.
-/// Here a new worker starts only when every worker is busy, so solves run
-/// on as many threads as ever solved at once (admission bounds that by
-/// [`HttpdConfig::max_inflight`]), and connection threads only parse and
-/// reply. Workers exit once the pool is dropped.
-#[derive(Default)]
-struct SolvePool {
-    idle: Arc<Mutex<Vec<mpsc::Sender<Job>>>>,
-}
-
-impl SolvePool {
-    /// Starts `solve` on an idle worker, or on a new one when all are
-    /// busy, and returns the channel its result arrives on. A worker that
-    /// panics drops the sender unanswered and is never reused.
-    fn submit<T: Send + 'static>(
-        &self,
+    /// Admits `solve` under `budget` and starts it on the most recently
+    /// idle worker (a new one when every worker is busy), or refuses it.
+    /// With every slot taken, a request waits if the waiting room has
+    /// space, until a slot frees, the drain starts or its budget's
+    /// deadline passes; past the deadline it could not finish even if it
+    /// started, so it sheds and frees its place for one that can. The
+    /// receiver gets the solve's result, or disconnects unanswered when
+    /// the solve panics.
+    fn start<T: Send + 'static>(
+        self: &Arc<Self>,
+        budget: &Budget,
         solve: impl FnOnce() -> T + Send + 'static,
-    ) -> mpsc::Receiver<T> {
+    ) -> Result<mpsc::Receiver<T>, Refusal> {
+        let full = |s: &mut SolveState| !s.draining && s.running.len() >= self.max_inflight;
+        let mut s = self.lock();
+        if full(&mut s) {
+            if s.waiting >= self.max_queue {
+                return Err(Refusal::Shed);
+            }
+            s.waiting += 1;
+            s = match budget.deadline() {
+                Some(d) => {
+                    let left = d.saturating_duration_since(Instant::now());
+                    let waited = self.changed.wait_timeout_while(s, left, full);
+                    waited.unwrap_or_else(|p| p.into_inner()).0
+                }
+                None => self
+                    .changed
+                    .wait_while(s, full)
+                    .unwrap_or_else(|p| p.into_inner()),
+            };
+            s.waiting -= 1;
+            if full(&mut s) {
+                return Err(Refusal::Shed);
+            }
+        }
+        if s.draining {
+            return Err(Refusal::Draining);
+        }
+        let id = s.next_slot;
+        s.next_slot += 1;
+        s.running.insert(id, budget.clone());
+        let idle = s.idle.pop();
+        drop(s);
+        // The guard owns the slot from here, so a failed spawn frees it.
+        let mut slot = Slot {
+            solves: Arc::clone(self),
+            id,
+            worker: None,
+        };
+        let worker = idle.unwrap_or_else(spawn_solve_worker);
+        slot.worker = Some(worker.clone());
         let (tx, rx) = mpsc::channel();
-        let worker = self
-            .idle
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .pop()
-            .unwrap_or_else(spawn_solve_worker);
-        let idle = Arc::clone(&self.idle);
-        let again = worker.clone();
         let job: Job = Box::new(move || {
+            let tx = tx;
+            // Declared after `tx`, so dropped first on a panic too: the
+            // slot is free before the requester hears.
+            let slot = slot;
             let out = solve();
             // Idle before the answer leaves, so the requester's next
             // solve finds this worker instead of starting another.
-            idle.lock().unwrap_or_else(|p| p.into_inner()).push(again);
+            drop(slot);
             tx.send(out).ok();
         });
         // A worker exits only by panicking mid-job, and then it never goes
-        // back on the idle stack, so this send cannot fail; if it did, the
-        // dropped job would answer as a panic.
+        // back on the idle stack, so this send cannot fail.
         worker.send(job).ok();
-        rx
+        Ok(rx)
+    }
+
+    fn draining(&self) -> bool {
+        self.lock().draining
+    }
+
+    /// Admits no solve from now on and turns every waiter away;
+    /// idempotent.
+    fn start_drain(&self) {
+        self.lock().draining = true;
+        self.changed.notify_all();
+    }
+
+    fn open_conn(&self) {
+        self.lock().open_conns += 1;
+    }
+
+    fn close_conn(&self) {
+        self.lock().open_conns -= 1;
+        self.changed.notify_all();
+    }
+
+    /// Waits, at most `budget`, until no solve runs and no connection is
+    /// open. Past the budget it cancels every running solve — each unwinds
+    /// its degradation ladder and still answers its client — and waits up
+    /// to `budget` more for the unwind.
+    fn drain(&self, budget: Duration) {
+        let busy = |s: &mut SolveState| !s.running.is_empty() || s.open_conns > 0;
+        let waited = self.changed.wait_timeout_while(self.lock(), budget, busy);
+        let s = waited.unwrap_or_else(|p| p.into_inner()).0;
+        if !s.running.is_empty() {
+            for solve in s.running.values() {
+                solve.cancel();
+            }
+            drop(self.changed.wait_timeout_while(s, budget, busy));
+        }
+    }
+}
+
+/// A running solve's slot. Dropping it, when the solve returns or
+/// unwinds from a panic, frees the slot, forgets the budget and wakes the
+/// waiters; the worker goes back on the idle stack only if the solve did
+/// not panic.
+struct Slot {
+    solves: Arc<Solves>,
+    id: u64,
+    worker: Option<mpsc::Sender<Job>>,
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        let mut s = self.solves.lock();
+        s.running.remove(&self.id);
+        if !std::thread::panicking() {
+            s.idle.extend(self.worker.take());
+        }
+        drop(s);
+        self.solves.changed.notify_all();
     }
 }
 
@@ -237,56 +286,58 @@ fn spawn_solve_worker() -> mpsc::Sender<Job> {
 struct Shared {
     service: Arc<SolveService>,
     cfg: HttpdConfig,
-    admission: Admission,
-    solves: SolvePool,
-    shutdown: AtomicBool,
-    open_conns: AtomicUsize,
-    /// Budgets of in-flight requests, cancelled wholesale when the drain
-    /// budget runs out (and individually on client disconnect).
-    budgets: Mutex<HashMap<u64, Budget>>,
-    budget_seq: AtomicU64,
+    solves: Arc<Solves>,
 }
 
 impl Shared {
-    fn register_budget(&self, budget: &Budget) -> u64 {
-        let id = self.budget_seq.fetch_add(1, Ordering::Relaxed);
-        self.budgets
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(id, budget.clone());
-        id
-    }
-
-    fn unregister_budget(&self, id: u64) {
-        self.budgets
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .remove(&id);
-    }
-
-    fn cancel_all_budgets(&self) -> usize {
-        let budgets = self.budgets.lock().unwrap_or_else(|p| p.into_inner());
-        for budget in budgets.values() {
-            budget.cancel();
+    /// A request's budget: its own deadline, else the configured default,
+    /// else none.
+    fn budget(&self, deadline: Option<Duration>) -> Budget {
+        match deadline.or(self.cfg.default_deadline) {
+            Some(limit) => Budget::with_limit(limit),
+            None => Budget::unlimited(),
         }
-        budgets.len()
     }
 
-    fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
-    }
-
-    /// Starts `serve_with(request, budget)` on the solve pool.
-    fn submit_solve(
+    /// The one way a request reaches a solver: [`Solves::start`], with a
+    /// solve whose budget ran out or was cancelled counted in
+    /// `gomil_deadline_cancelled_total`.
+    fn start<T: Send + 'static>(
         &self,
-        request: &SolveRequest,
         budget: &Budget,
-    ) -> mpsc::Receiver<Result<ServeOutcome, ServeError>> {
-        let service = Arc::clone(&self.service);
-        let request = request.clone();
-        let budget = budget.clone();
-        self.solves
-            .submit(move || service.serve_with(&request, Some(&budget)))
+        solve: impl FnOnce() -> T + Send + 'static,
+    ) -> Result<mpsc::Receiver<T>, Refusal> {
+        let (service, spent) = (Arc::clone(&self.service), budget.clone());
+        self.solves.start(budget, move || {
+            let out = solve();
+            if spent.check().is_err() {
+                service
+                    .metrics()
+                    .deadline_cancelled
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            out
+        })
+    }
+
+    /// The reply to a refused solve: 429 with `Retry-After`, counted in
+    /// `gomil_shed_total`, or 503 while draining.
+    fn refuse(&self, stream: &mut TcpStream, refusal: Refusal, close: bool) -> io::Result<()> {
+        match refusal {
+            Refusal::Shed => {
+                self.service.metrics().shed.fetch_add(1, Ordering::Relaxed);
+                let retry = self.retry_after_secs().to_string();
+                write_response(
+                    stream,
+                    429,
+                    "application/json",
+                    b"{\"error\":\"overloaded, retry later\"}\n",
+                    &[("Retry-After", &retry)],
+                    close,
+                )
+            }
+            Refusal::Draining => reply_error(stream, 503, "server is draining", close),
+        }
     }
 
     /// `Retry-After` seconds for a shed reply: the expected time for the
@@ -294,10 +345,10 @@ impl Shared {
     /// latency — clamped to [1, 60] so the header is always sane even
     /// with no latency history yet.
     fn retry_after_secs(&self) -> u64 {
-        let (_, waiting, _) = self.admission.snapshot();
+        let waiting = self.solves.lock().waiting;
         let report = self.service.report();
         let mean_secs = mean_solve_secs(&report.per_rung);
-        let backlog = (waiting + 1) as f64 / self.cfg.max_inflight.max(1) as f64;
+        let backlog = (waiting + 1) as f64 / self.solves.max_inflight as f64;
         (mean_secs * backlog).ceil().clamp(1.0, 60.0) as u64
     }
 }
@@ -338,13 +389,12 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// Initiates graceful drain; idempotent.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        self.shared.admission.start_drain();
+        self.shared.solves.start_drain();
     }
 
     /// Whether drain has been initiated.
     pub fn is_draining(&self) -> bool {
-        self.shared.draining()
+        self.shared.solves.draining()
     }
 }
 
@@ -366,17 +416,13 @@ impl Server {
     pub fn bind(service: Arc<SolveService>, addr: &str, cfg: HttpdConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
+        let solves = Arc::new(Solves::new(cfg.max_inflight.max(1), cfg.max_queue));
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
                 service,
                 cfg,
-                admission: Admission::new(),
-                solves: SolvePool::default(),
-                shutdown: AtomicBool::new(false),
-                open_conns: AtomicUsize::new(0),
-                budgets: Mutex::new(HashMap::new()),
-                budget_seq: AtomicU64::new(0),
+                solves,
             }),
         })
     }
@@ -406,14 +452,14 @@ impl Server {
     /// Propagates accept-loop transport errors and the final cache
     /// persistence failure (in-flight answers are never lost to either).
     pub fn run(self) -> io::Result<()> {
-        while !self.shared.draining() {
+        while !self.shared.solves.draining() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     let shared = Arc::clone(&self.shared);
-                    shared.open_conns.fetch_add(1, Ordering::Relaxed);
+                    shared.solves.open_conn();
                     std::thread::spawn(move || {
                         let _ = handle_connection(&shared, stream);
-                        shared.open_conns.fetch_sub(1, Ordering::Relaxed);
+                        shared.solves.close_conn();
                     });
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -423,29 +469,9 @@ impl Server {
             }
         }
 
-        // Draining: no new connections; give in-flight work the budget.
-        self.shared.admission.start_drain();
-        let deadline = Instant::now() + self.shared.cfg.drain_budget;
-        while Instant::now() < deadline {
-            let (inflight, _, _) = self.shared.admission.snapshot();
-            if inflight == 0 && self.shared.open_conns.load(Ordering::Relaxed) == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        // Budget up: cancel stragglers — each unwinds the degradation
-        // ladder and still answers its client — then wait briefly for
-        // the unwind itself.
-        if self.shared.cancel_all_budgets() > 0 {
-            let grace = Instant::now() + self.shared.cfg.drain_budget;
-            while Instant::now() < grace {
-                let (inflight, _, _) = self.shared.admission.snapshot();
-                if inflight == 0 && self.shared.open_conns.load(Ordering::Relaxed) == 0 {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
+        // Draining: no new connections; give in-flight work the budget,
+        // then cancel the stragglers.
+        self.shared.solves.drain(self.shared.cfg.drain_budget);
         // No lost cache writes: persistence is the last drain step, after
         // every in-flight publish has settled.
         self.shared.service.persist()?;
@@ -475,7 +501,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
                 {
-                    if shared.draining() {
+                    if shared.solves.draining() {
                         return Ok(());
                     }
                 }
@@ -535,7 +561,7 @@ fn route(
 ) -> io::Result<()> {
     match (request.method.as_str(), request.path()) {
         ("GET", "/healthz") => {
-            if shared.draining() {
+            if shared.solves.draining() {
                 write_response(stream, 503, "text/plain", b"draining\n", &[], close)
             } else {
                 write_response(stream, 200, "text/plain", b"ok\n", &[], close)
@@ -568,8 +594,7 @@ fn route(
             }
         }
         ("POST", "/shutdown") => {
-            shared.shutdown.store(true, Ordering::Relaxed);
-            shared.admission.start_drain();
+            shared.solves.start_drain();
             reply_json(stream, 200, "{\"status\":\"draining\"}\n", close)
         }
         ("POST", "/solve") => handle_solve(shared, stream, request, close),
@@ -619,26 +644,30 @@ fn parse_solve_request(request: &Request) -> Result<(SolveRequest, Option<Durati
             PpgKind::from_name(name).ok_or_else(|| format!("unknown ppg {name:?}"))?
         }
     };
-    // Deadline precedence: header > body budget_ms (both strict).
-    let deadline = match request.header("x-gomil-deadline-ms") {
-        Some(value) => Some(
-            parse_deadline_ms(value)
-                .ok_or_else(|| format!("invalid X-Gomil-Deadline-Ms {value:?}"))?,
-        ),
-        None => match config.get("budget_ms") {
-            Some(v) => {
-                let ms = v
-                    .as_u64()
-                    .ok_or_else(|| "\"budget_ms\" must be a nonnegative integer".to_string())?;
-                Some(
-                    parse_deadline_ms(&ms.to_string())
-                        .ok_or_else(|| format!("\"budget_ms\" {ms} out of range"))?,
-                )
-            }
-            None => None,
-        },
-    };
+    let deadline = request_deadline(request, config.get("budget_ms"))?;
     Ok((SolveRequest { m: m as usize, ppg }, deadline))
+}
+
+/// A request's own deadline: the `X-Gomil-Deadline-Ms` header, else a
+/// `/solve` body's `budget_ms` (both strict).
+fn request_deadline(
+    request: &Request,
+    budget_ms: Option<&Json>,
+) -> Result<Option<Duration>, String> {
+    if let Some(value) = request.header("x-gomil-deadline-ms") {
+        return parse_deadline_ms(value)
+            .map(Some)
+            .ok_or_else(|| format!("invalid X-Gomil-Deadline-Ms {value:?}"));
+    }
+    let Some(v) = budget_ms else {
+        return Ok(None);
+    };
+    let ms = v
+        .as_u64()
+        .ok_or_else(|| "\"budget_ms\" must be a nonnegative integer".to_string())?;
+    parse_deadline_ms(&ms.to_string())
+        .map(Some)
+        .ok_or_else(|| format!("\"budget_ms\" {ms} out of range"))
 }
 
 fn serve_error_status(e: &ServeError) -> u16 {
@@ -681,70 +710,22 @@ fn handle_solve(
         return reply_json(stream, 200, &body, close);
     }
 
-    let budget = match deadline.or(shared.cfg.default_deadline) {
-        Some(limit) => Budget::with_limit(limit),
-        None => Budget::unlimited(),
+    let budget = shared.budget(deadline);
+    let (service, solve_budget) = (Arc::clone(&shared.service), budget.clone());
+    let rx = match shared.start(&budget, move || {
+        service.serve_with(&solve_req, Some(&solve_budget))
+    }) {
+        Ok(rx) => rx,
+        Err(refusal) => return shared.refuse(stream, refusal, close),
     };
-    match shared.admission.acquire(
-        shared.cfg.max_inflight.max(1),
-        shared.cfg.max_queue,
-        budget.deadline(),
-    ) {
-        Ticket::Shed => {
-            shared
-                .service
-                .metrics()
-                .shed
-                .fetch_add(1, Ordering::Relaxed);
-            let retry = shared.retry_after_secs().to_string();
-            write_response(
-                stream,
-                429,
-                "application/json",
-                b"{\"error\":\"overloaded, retry later\"}\n",
-                &[("Retry-After", &retry)],
-                close,
-            )
-        }
-        Ticket::Draining => reply_error(stream, 503, "server is draining", close),
-        Ticket::Admitted => {
-            let result = if streaming {
-                stream_solve(shared, stream, &solve_req, &budget, &key)
-            } else {
-                blocking_solve(shared, stream, &solve_req, &budget, &key, close)
-            };
-            shared.admission.release();
-            if budget.check().is_err() {
-                shared
-                    .service
-                    .metrics()
-                    .deadline_cancelled
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            result
-        }
+    if streaming {
+        return stream_solve(stream, &rx, &budget, &key);
     }
-}
-
-fn blocking_solve(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    solve_req: &SolveRequest,
-    budget: &Budget,
-    key: &SolveKey,
-    close: bool,
-) -> io::Result<()> {
-    let id = shared.register_budget(budget);
-    let result = shared
-        .submit_solve(solve_req, budget)
-        .recv()
-        .unwrap_or_else(|_| Err(worker_vanished()));
-    shared.unregister_budget(id);
-    match result {
+    match rx.recv().unwrap_or_else(|_| Err(worker_vanished())) {
         Ok(outcome) => reply_json(
             stream,
             200,
-            &solve_reply_json(key.canonical(), key.hash64(), &outcome),
+            &solve_reply_json(key.canonical(), fingerprint, &outcome),
             close,
         ),
         Err(e) => reply_error(stream, serve_error_status(&e), &e.to_string(), close),
@@ -755,8 +736,8 @@ fn blocking_solve(
 /// body. Unlike `/solve` there is no cache (arbitrary models have no
 /// design identity), but the request goes through the same admission
 /// control and honors the same `X-Gomil-Deadline-Ms` header — an
-/// uploaded model competes for the same solver permits as a design
-/// solve, so a flood of `/lp` posts sheds instead of piling up.
+/// uploaded model competes for the same solver slots as a design solve,
+/// so a flood of `/lp` posts sheds instead of piling up.
 fn handle_lp(
     shared: &Shared,
     stream: &mut TcpStream,
@@ -778,78 +759,28 @@ fn handle_lp(
         Ok(m) => m,
         Err(e) => return reply_error(stream, 400, &e.to_string(), close),
     };
-    let deadline = match request.header("x-gomil-deadline-ms") {
-        Some(value) => match parse_deadline_ms(value) {
-            Some(d) => Some(d),
-            None => {
-                return reply_error(
-                    stream,
-                    400,
-                    &format!("invalid X-Gomil-Deadline-Ms {value:?}"),
-                    close,
-                )
-            }
-        },
-        None => None,
+    let deadline = match request_deadline(request, None) {
+        Ok(deadline) => deadline,
+        Err(message) => return reply_error(stream, 400, &message, close),
     };
-    let budget = match deadline.or(shared.cfg.default_deadline) {
-        Some(limit) => Budget::with_limit(limit),
-        None => Budget::unlimited(),
+    let budget = shared.budget(deadline);
+    let cfg = BranchConfig {
+        budget: budget.clone(),
+        ..BranchConfig::default()
     };
-    match shared.admission.acquire(
-        shared.cfg.max_inflight.max(1),
-        shared.cfg.max_queue,
-        budget.deadline(),
-    ) {
-        Ticket::Shed => {
-            shared
-                .service
-                .metrics()
-                .shed
-                .fetch_add(1, Ordering::Relaxed);
-            let retry = shared.retry_after_secs().to_string();
-            write_response(
-                stream,
-                429,
-                "application/json",
-                b"{\"error\":\"overloaded, retry later\"}\n",
-                &[("Retry-After", &retry)],
-                close,
-            )
-        }
-        Ticket::Draining => reply_error(stream, 503, "server is draining", close),
-        Ticket::Admitted => {
-            let id = shared.register_budget(&budget);
-            let cfg = BranchConfig {
-                budget: budget.clone(),
-                ..BranchConfig::default()
-            };
-            // An arbitrary uploaded model can trip solver panics the
-            // design pipeline never would; a worker that panics answers
-            // nothing, which is a 500.
-            let result = shared
-                .solves
-                .submit(move || {
-                    let solved = model.solve_with(&cfg);
-                    (model, solved)
-                })
-                .recv();
-            shared.unregister_budget(id);
-            shared.admission.release();
-            if budget.check().is_err() {
-                shared
-                    .service
-                    .metrics()
-                    .deadline_cancelled
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            match result {
-                Ok((model, solved)) => {
-                    reply_json(stream, 200, &lp_reply_json(&model, &solved), close)
-                }
-                Err(_) => reply_error(stream, 500, "solver panicked", close),
-            }
-        }
+    // An arbitrary uploaded model can trip solver panics the design
+    // pipeline never would; a worker that panics answers nothing, which
+    // is a 500.
+    let rx = match shared.start(&budget, move || {
+        let solved = model.solve_with(&cfg);
+        (model, solved)
+    }) {
+        Ok(rx) => rx,
+        Err(refusal) => return shared.refuse(stream, refusal, close),
+    };
+    match rx.recv() {
+        Ok((model, solved)) => reply_json(stream, 200, &lp_reply_json(&model, &solved), close),
+        Err(_) => reply_error(stream, 500, "solver panicked", close),
     }
 }
 
@@ -915,15 +846,11 @@ fn done_event(key: &str, fingerprint: u64, outcome: &ServeOutcome) -> String {
 /// worker actually stops); on completion the solver's incumbent timeline
 /// is replayed as `incumbent` events followed by one `done` event.
 fn stream_solve(
-    shared: &Shared,
     stream: &mut TcpStream,
-    solve_req: &SolveRequest,
+    rx: &mpsc::Receiver<Result<ServeOutcome, ServeError>>,
     budget: &Budget,
     key: &SolveKey,
 ) -> io::Result<()> {
-    let id = shared.register_budget(budget);
-    let rx = shared.submit_solve(solve_req, budget);
-
     let mut cw = ChunkedWriter::start(&mut *stream, 200, "application/x-ndjson")?;
     let t0 = Instant::now();
     let outcome = loop {
@@ -936,12 +863,9 @@ fn stream_solve(
                 );
                 if cw.chunk(beat.as_bytes()).is_err() {
                     // Client hung up mid-solve: cancel so the worker
-                    // unwinds instead of solving for nobody, then wait
-                    // for its (degraded) result to keep singleflight
-                    // joiners coherent.
+                    // unwinds instead of solving for nobody. It keeps its
+                    // slot until the unwind ends.
                     budget.cancel();
-                    let _ = rx.recv();
-                    shared.unregister_budget(id);
                     return Err(io::Error::new(
                         io::ErrorKind::BrokenPipe,
                         "client disconnected during stream",
@@ -951,7 +875,6 @@ fn stream_solve(
             Err(RecvTimeoutError::Disconnected) => break Err(worker_vanished()),
         }
     };
-    shared.unregister_budget(id);
 
     match outcome {
         Ok(outcome) => {
@@ -979,61 +902,118 @@ fn stream_solve(
 mod tests {
     use super::*;
 
+    use std::thread::ThreadId;
+
+    fn me() -> ThreadId {
+        std::thread::current().id()
+    }
+
+    /// Starts `solve` with no deadline; it must be admitted.
+    fn run<T: Send + 'static>(
+        solves: &Arc<Solves>,
+        solve: impl FnOnce() -> T + Send + 'static,
+    ) -> mpsc::Receiver<T> {
+        solves.start(&Budget::unlimited(), solve).expect("admitted")
+    }
+
+    /// Starts a solve that holds its slot until the returned sender fires
+    /// (or drops), and answers with its worker's thread.
+    fn hold(solves: &Arc<Solves>) -> (mpsc::Sender<()>, mpsc::Receiver<ThreadId>) {
+        let (go, wait) = mpsc::channel::<()>();
+        let rx = run(solves, move || {
+            wait.recv().ok();
+            me()
+        });
+        (go, rx)
+    }
+
+    /// Starts a request on another thread and returns once it waits for
+    /// a slot.
+    fn queue(solves: &Arc<Solves>) -> std::thread::JoinHandle<Result<ThreadId, Refusal>> {
+        let before = solves.lock().waiting;
+        let s = Arc::clone(solves);
+        let waiter = std::thread::spawn(move || {
+            s.start(&Budget::unlimited(), me)
+                .map(|rx| rx.recv().unwrap())
+        });
+        while solves.lock().waiting == before {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        waiter
+    }
+
     #[test]
     fn admission_permits_queue_and_shed() {
-        let adm = Admission::new();
-        assert!(matches!(adm.acquire(2, 1, None), Ticket::Admitted));
-        assert!(matches!(adm.acquire(2, 1, None), Ticket::Admitted));
-        // Queue full ⇒ third concurrent waiter sheds when a fourth asks.
-        let expired = Some(Instant::now() - Duration::from_millis(1));
+        let solves = Arc::new(Solves::new(2, 1));
+        let (go, first) = hold(&solves);
+        let (_go, _second) = hold(&solves);
         // With an already-expired deadline the waiter sheds instead of
         // queueing forever.
-        assert!(matches!(adm.acquire(2, 1, expired), Ticket::Shed));
-        adm.release();
-        assert!(matches!(adm.acquire(2, 1, None), Ticket::Admitted));
+        let expired = Budget::with_limit(Duration::ZERO);
+        assert_eq!(solves.start(&expired, me).err(), Some(Refusal::Shed));
+        // Queue full ⇒ a fourth concurrent request sheds at once.
+        let waiter = queue(&solves);
+        assert_eq!(
+            solves.start(&Budget::unlimited(), me).err(),
+            Some(Refusal::Shed)
+        );
+        go.send(()).unwrap();
+        first.recv().unwrap();
+        assert!(waiter.join().unwrap().is_ok());
+        assert!(solves.start(&Budget::unlimited(), me).is_ok());
     }
 
     #[test]
     fn draining_turns_waiters_away() {
-        let adm = Arc::new(Admission::new());
-        assert!(matches!(adm.acquire(1, 4, None), Ticket::Admitted));
-        let a2 = Arc::clone(&adm);
-        let waiter = std::thread::spawn(move || a2.acquire(1, 4, None));
-        std::thread::sleep(Duration::from_millis(50));
-        adm.start_drain();
-        assert!(matches!(waiter.join().unwrap(), Ticket::Draining));
-        assert!(matches!(adm.acquire(1, 4, None), Ticket::Draining));
+        let solves = Arc::new(Solves::new(1, 4));
+        let (_go, _first) = hold(&solves);
+        let waiter = queue(&solves);
+        solves.start_drain();
+        assert_eq!(waiter.join().unwrap().err(), Some(Refusal::Draining));
+        assert_eq!(
+            solves.start(&Budget::unlimited(), me).err(),
+            Some(Refusal::Draining)
+        );
     }
 
     #[test]
     fn queued_waiter_gets_the_freed_permit() {
-        let adm = Arc::new(Admission::new());
-        assert!(matches!(adm.acquire(1, 4, None), Ticket::Admitted));
-        let a2 = Arc::clone(&adm);
-        let waiter = std::thread::spawn(move || a2.acquire(1, 4, None));
-        std::thread::sleep(Duration::from_millis(50));
-        adm.release();
-        assert!(matches!(waiter.join().unwrap(), Ticket::Admitted));
-        let (inflight, waiting, _) = adm.snapshot();
-        assert_eq!((inflight, waiting), (1, 0));
+        let solves = Arc::new(Solves::new(1, 4));
+        let (go, first) = hold(&solves);
+        let s = Arc::clone(&solves);
+        let (next_go, next_wait) = mpsc::channel::<()>();
+        let waiter = std::thread::spawn(move || {
+            s.start(&Budget::unlimited(), move || next_wait.recv().ok())
+        });
+        while solves.lock().waiting == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        go.send(()).unwrap();
+        first.recv().unwrap();
+        let next = waiter
+            .join()
+            .unwrap()
+            .expect("the freed slot is the waiter's");
+        let (running, waiting) = {
+            let s = solves.lock();
+            (s.running.len(), s.waiting)
+        };
+        assert_eq!((running, waiting), (1, 0));
+        next_go.send(()).unwrap();
+        next.recv().unwrap();
     }
 
     /// Solves one after another share one worker thread; a second starts
     /// only while the first is busy, and a worker that panics is replaced.
     #[test]
     fn solve_pool_reuses_idle_workers_and_drops_panicked_ones() {
-        let pool = SolvePool::default();
-        let me = || std::thread::current().id();
-        let first = pool.submit(me).recv().unwrap();
+        let solves = Arc::new(Solves::new(4, 0));
+        let first = run(&solves, me).recv().unwrap();
         for _ in 0..5 {
-            assert_eq!(pool.submit(me).recv().unwrap(), first);
+            assert_eq!(run(&solves, me).recv().unwrap(), first);
         }
-        let (go, wait) = mpsc::channel::<()>();
-        let busy = pool.submit(move || {
-            wait.recv().ok();
-            me()
-        });
-        let second = pool.submit(me).recv().unwrap();
+        let (go, busy) = hold(&solves);
+        let second = run(&solves, me).recv().unwrap();
         assert_ne!(
             second, first,
             "the busy worker is not handed a second solve"
@@ -1041,11 +1021,29 @@ mod tests {
         go.send(()).unwrap();
         assert_eq!(busy.recv().unwrap(), first);
         // Most recently idle first: `first`, which then panics.
-        assert!(pool
-            .submit(|| panic!("injected solve panic"))
+        assert!(run(&solves, || panic!("injected solve panic"))
             .recv()
             .is_err());
-        assert_eq!(pool.submit(me).recv().unwrap(), second);
+        assert_eq!(run(&solves, me).recv().unwrap(), second);
+    }
+
+    /// A panicking solve hands back its slot and its budget on the way
+    /// out: with one slot and no waiting room, the next solve is admitted,
+    /// not shed, and runs on a new worker.
+    #[test]
+    fn a_panicked_solve_frees_its_slot() {
+        let solves = Arc::new(Solves::new(1, 0));
+        let first = run(&solves, me).recv().unwrap();
+        assert!(run(&solves, || panic!("injected solve panic"))
+            .recv()
+            .is_err());
+        assert!(solves.lock().running.is_empty());
+        let next = solves
+            .start(&Budget::unlimited(), me)
+            .expect("admitted, not shed")
+            .recv()
+            .unwrap();
+        assert_ne!(next, first, "the panicked worker is not reused");
     }
 
     /// Regression for the Retry-After under-estimate: the mean solve

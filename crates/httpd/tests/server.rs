@@ -262,6 +262,50 @@ fn post_lp_solves_uploaded_models() {
     join.join().unwrap().unwrap();
 }
 
+/// `POST /lp` competes for the same slots as `POST /solve`: with the only
+/// slot held by a slow design solve and no waiting room, an uploaded
+/// model sheds with 429 and a `Retry-After`, and the shed is counted.
+#[test]
+fn lp_posts_shed_while_a_solve_holds_the_only_slot() {
+    let (addr, handle, join, invocations) = start_server(
+        300,
+        HttpdConfig {
+            max_inflight: 1,
+            max_queue: 0,
+            ..HttpdConfig::default()
+        },
+    );
+    let addr2 = addr.clone();
+    let slow =
+        std::thread::spawn(move || client::post_json(&addr2, "/solve", r#"{"m": 10}"#).unwrap());
+    while invocations.load(Ordering::SeqCst) == 0 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let knap = "Maximize\n obj: +3 a +4 b +2 c\n\
+                Subject To\n weight: +2 a +3 b +1 c <= 4\n\
+                Binaries\n a b c\nEnd\n";
+    let shed = client::request(&addr, "POST", "/lp", &[], knap.as_bytes()).unwrap();
+    assert_eq!(shed.status, 429, "{}", shed.text());
+    let retry: u64 = shed
+        .header("retry-after")
+        .expect("shed reply carries Retry-After")
+        .parse()
+        .expect("Retry-After is integral seconds");
+    assert!((1..=60).contains(&retry), "Retry-After {retry}");
+
+    assert_eq!(slow.join().unwrap().status, 200);
+    let metrics = client::request(&addr, "GET", "/metrics", &[], b"").unwrap();
+    assert!(
+        metrics.text().contains("gomil_shed_total 1"),
+        "{}",
+        metrics.text()
+    );
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
 /// A request covered by the precomputed design mart must be served with
 /// zero solver invocations and zero admission permits — even while the
 /// queue is actively shedding — and the hit must show up in `/metrics`.

@@ -85,8 +85,6 @@ pub struct BranchConfig {
     pub time_limit: Option<Duration>,
     /// Maximum number of branch-and-bound nodes.
     pub node_limit: u64,
-    /// Stop when `(incumbent − bound)/max(1,|incumbent|)` falls below this.
-    pub gap_tol: f64,
     /// Optional warm-start assignment (full values, indexed by variable
     /// index). Validated up front; the outcome (including the violated
     /// constraint on rejection) is reported in
@@ -99,10 +97,6 @@ pub struct BranchConfig {
     /// compete on objective, so a bad hand-off can never worsen the
     /// result, only fail to help.
     pub extra_starts: Vec<Vec<f64>>,
-    /// Simplex iteration budget per LP solve.
-    pub max_lp_iters: u64,
-    /// Run the round-and-repair heuristic every this many nodes (0 = off).
-    pub heuristic_period: u64,
     /// Shared wall-clock budget / cancellation token. Checked between nodes
     /// and inside the simplex pivot loop, so one pipeline-level budget
     /// bounds the whole search. Defaults to unlimited.
@@ -113,10 +107,6 @@ pub struct BranchConfig {
     /// Multiplier on the simplex optimality tolerance (values > 1 relax
     /// it). Set to 10 by the numerical-retry path.
     pub tol_scale: f64,
-    /// When `true`, [`Model::solve_with`](crate::Model::solve_with) retries
-    /// a [`SolveError::Numerical`] failure once with `force_bland` and a
-    /// relaxed `tol_scale` before giving up.
-    pub numerical_retry: bool,
     /// Workers exploring the branch-and-bound tree: the calling thread plus
     /// `jobs − 1` scoped threads (`0` counts as `1`). With one worker the
     /// search is deterministic and spawns no thread. More workers prove the
@@ -156,15 +146,11 @@ impl Default for BranchConfig {
         BranchConfig {
             time_limit: Some(Duration::from_secs(60)),
             node_limit: 200_000,
-            gap_tol: 1e-6,
             initial: None,
             extra_starts: Vec::new(),
-            max_lp_iters: 2_000_000,
-            heuristic_period: 20,
             budget: Budget::unlimited(),
             force_bland: false,
             tol_scale: 1.0,
-            numerical_retry: true,
             jobs: 1,
             reuse_basis: true,
             pricing: Pricing::default(),
@@ -342,9 +328,9 @@ impl BoundDelta {
 /// The node comparator is [`f64::total_cmp`], so a NaN no longer
 /// *corrupts* heap order — but a node whose LP relaxation evaluated to NaN
 /// has no meaningful place in a best-first search either, so the solve is
-/// aborted as a numerical failure (which the
-/// [`numerical_retry`](BranchConfig::numerical_retry) path then retries
-/// with Bland's rule).
+/// aborted as a numerical failure (which the numerical retry of
+/// [`Model::solve_with`](crate::Model::solve_with) then repeats with
+/// Bland's rule).
 pub(crate) fn checked_bound(bound: f64) -> Result<f64, SolveError> {
     if bound.is_nan() {
         return Err(SolveError::Numerical(
@@ -546,6 +532,9 @@ pub(crate) struct Prepared<'a> {
     pub(crate) warm_start: WarmStartStatus,
 }
 
+/// Simplex iteration budget per LP solve.
+const MAX_LP_ITERS: u64 = 2_000_000;
+
 /// Presolves, standardizes and validates warm starts — everything up to
 /// (but not including) the node loop.
 pub(crate) fn prepare<'a>(
@@ -556,7 +545,7 @@ pub(crate) fn prepare<'a>(
     let maximize = model.sense == Sense::Maximize;
     let budget = config.effective_budget();
     let lp_opts = SimplexOpts {
-        max_iters: config.max_lp_iters,
+        max_iters: MAX_LP_ITERS,
         force_bland: config.force_bland,
         tol_scale: config.tol_scale,
         budget: budget.clone(),

@@ -584,6 +584,8 @@ impl Model {
                     } else {
                         Sense::Maximize
                     });
+                } else if p.sense.is_none() {
+                    return Err(err(lineno, "missing Minimize/Maximize section"));
                 }
                 if next == Section::Constraints && row_cmp.is_some() {
                     return Err(err(lineno, "constraint missing right-hand side"));
@@ -797,7 +799,7 @@ mod tests {
     fn parser_rejects_malformed_input() {
         for (text, want, line) in [
             ("", "Minimize/Maximize", 1),
-            ("Subject To\n r: x <= 1\nEnd", "Minimize/Maximize", 3),
+            ("Subject To\n r: x <= 1\nEnd", "Minimize/Maximize", 1),
             (
                 "Minimize\n obj: x\nSubject To\n r: x <=\nEnd",
                 "unterminated",

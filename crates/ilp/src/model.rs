@@ -305,16 +305,16 @@ impl Model {
     }
 
     /// Solves with an explicit branch-and-bound configuration (time limits,
-    /// wall-clock budget, warm start, gap tolerance).
+    /// wall-clock budget, warm starts, workers).
     ///
     /// This is the resilient entry point on top of the raw
     /// [`branch::solve`](crate::branch::solve) engine. It adds two layers:
     ///
     /// * **Numerical retry** — when the engine reports
-    ///   [`SolveError::Numerical`] and
-    ///   [`numerical_retry`](BranchConfig::numerical_retry) is on, the solve
-    ///   is repeated once with Bland's anti-cycling pivot rule and relaxed
-    ///   tolerances before the error is propagated.
+    ///   [`SolveError::Numerical`] and the config does not already
+    ///   [`force_bland`](BranchConfig::force_bland), the solve is repeated
+    ///   once with Bland's anti-cycling pivot rule and relaxed tolerances
+    ///   before the error is propagated.
     /// * **Certification** — every solution is re-checked against the
     ///   original model by [`certify::certify`] and carries the resulting
     ///   [`Certificate`](crate::certify::Certificate); a check failure
@@ -327,7 +327,7 @@ impl Model {
         let start = Instant::now();
         let mut sol = match branch::solve(self, config) {
             Ok(sol) => sol,
-            Err(SolveError::Numerical(first)) if config.numerical_retry && !config.force_bland => {
+            Err(SolveError::Numerical(first)) if !config.force_bland => {
                 // Maximum-robustness retry: Bland's rule, Dantzig pricing,
                 // relaxed tolerances, no basis reuse, no cuts and no
                 // presolve reductions — none of the performance machinery

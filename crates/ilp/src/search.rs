@@ -176,6 +176,13 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
+/// A node is pruned once `(incumbent − bound)/max(1,|incumbent|)` falls
+/// below this.
+const GAP_TOL: f64 = 1e-6;
+
+/// The round-and-repair heuristic runs every this many nodes.
+const HEURISTIC_PERIOD: u64 = 20;
+
 impl<'c, 'm> Shared<'c, 'm> {
     /// A pool with only the root node open and no incumbent.
     fn new(ctx: &'c SearchCtx<'m>) -> Self {
@@ -247,10 +254,10 @@ impl<'c, 'm> Shared<'c, 'm> {
     }
 
     /// Whether a node with this bound cannot beat the incumbent, up to the
-    /// configured relative gap tolerance.
+    /// relative gap tolerance [`GAP_TOL`].
     fn prunable(&self, bound: f64) -> bool {
         match self.cutoff() {
-            Some(best) => bound >= best - self.ctx.config.gap_tol * best.abs().max(1.0),
+            Some(best) => bound >= best - GAP_TOL * best.abs().max(1.0),
             None => false,
         }
     }
@@ -470,9 +477,9 @@ impl<'c, 'm> Shared<'c, 'm> {
                 NodeResult::Exhausted
             }
             Some((c, _)) => {
-                // Heuristic: round and repair every `heuristic_period`
+                // Heuristic: round and repair every `HEURISTIC_PERIOD`
                 // nodes of the search (approximate under concurrency).
-                if config.heuristic_period > 0 && ordinal % config.heuristic_period == 1 {
+                if ordinal % HEURISTIC_PERIOD == 1 {
                     let (repaired, spent) = crate::heur::round_and_repair(
                         &std.lp,
                         lb_buf,

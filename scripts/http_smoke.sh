@@ -58,6 +58,24 @@ echo "$solve" | grep -q '"solver_gap":0,' \
     || { echo "FAIL: m=3 reply lacks the proved gap 0: $solve"; exit 1; }
 echo "    POST /solve m=3: joint ILP, gap 0"
 
+# POST /lp solves an uploaded model with the real branch and bound and
+# certifies the answer.
+knapsack=$'Maximize\n obj: +3 a +4 b +2 c\nSubject To\n weight: +2 a +3 b +1 c <= 4\nBinaries\n a b c\nEnd\n'
+lp=$(curl -sS -X POST "http://$addr/lp" --data-binary "$knapsack")
+echo "$lp" | grep -q '"status":"optimal"' \
+    || { echo "FAIL: /lp knapsack is not optimal: $lp"; exit 1; }
+echo "$lp" | grep -q '"certified":true' \
+    || { echo "FAIL: /lp knapsack is not certified: $lp"; exit 1; }
+echo "    POST /lp knapsack: optimal, certified"
+
+# A section before the objective is refused on the line where it starts.
+lp=$(curl -sS -w '\n%{http_code}' -X POST "http://$addr/lp" \
+    --data-binary $'Subject To\n r: x <= 1\nEnd')
+[ "${lp##*$'\n'}" = 400 ] || { echo "FAIL: misordered /lp model is not a 400: $lp"; exit 1; }
+echo "$lp" | grep -q 'on line 1:' \
+    || { echo "FAIL: misordered /lp model's error does not name line 1: $lp"; exit 1; }
+echo "    POST /lp misordered sections: 400 on line 1"
+
 # /metrics must be Prometheus-parseable: every non-comment line is
 # "name[{labels}] value" with a numeric value, the solves were counted,
 # and the solve counters reached their totals.

@@ -244,3 +244,26 @@ fn a_single_flipped_gate_is_caught_with_a_replayable_counterexample() {
     assert!(msg.contains('×'), "{msg}");
     assert!(msg.contains("netlist produced"), "{msg}");
 }
+
+#[test]
+fn a_pipeline_deadline_leaves_target_search_its_half() {
+    // Under a deadline the joint ILP gets half of what remains. Given the
+    // whole budget, it used to spend all of it at (5, AND) and serve 134
+    // while target search, which finds 125, was skipped for lack of time.
+    let cfg = GomilConfig::with_pipeline_budget(Duration::from_millis(1500));
+    let d = build_gomil(5, PpgKind::And, &cfg).expect("a deadline still builds");
+    let report = &d.solution.degradation;
+    let target = report
+        .attempts
+        .iter()
+        .find(|a| a.rung == Rung::TargetSearch)
+        .expect("target search is on the ladder");
+    assert!(
+        matches!(target.outcome, RungOutcome::Succeeded { .. }),
+        "{report}"
+    );
+    assert!(d.solution.objective <= 125.0, "{report}");
+    // The ILP cannot prove (5, AND) in its half, so the answer was shaped
+    // by the deadline and must never be cached.
+    assert!(report.budget_limited(), "{report}");
+}
