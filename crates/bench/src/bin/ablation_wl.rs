@@ -2,15 +2,21 @@
 //! `w = 8, L = 10` ("this combination gives a small area-delay product,
 //! while ensuring an affordable runtime").
 //!
-//! Two sweeps at a fixed word length (default m = 8):
+//! Two sweeps:
 //!   * `w` — the delay weight of the prefix objective: realized netlist
-//!     area/delay/ADP of the GOMIL-AND multiplier as w varies;
-//!   * `L` — the joint-ILP truncation: objective and runtime as L varies.
+//!     area/delay/ADP of the GOMIL-AND multiplier as w varies, at the
+//!     word length given (default m = 8);
+//!   * `L` — the joint-ILP truncation: objective and runtime as L varies,
+//!     at m = 3, where every L finishes far inside the budget (at
+//!     m = 8 each L spends the whole budget on the same incumbent).
 //!
 //! Usage: `cargo run --release -p gomil-bench --bin ablation_wl -- [m]`
 
 use gomil::{build_gomil, joint_ilp, Bcv, GomilConfig, PpgKind};
 use gomil_bench::timed;
+
+/// Word length of the L sweep.
+const L_SWEEP_M: usize = 3;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let m: usize = std::env::args()
@@ -44,13 +50,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    println!("\n== L sweep (m = {m}, joint ILP truncation; paper uses L = 10) ==");
+    println!("\n== L sweep (m = {L_SWEEP_M}, joint ILP truncation; paper uses L = 10) ==");
     println!(
         "{:<8} {:>10} {:>12} {:>12} {:>12}",
         "L", "runtime", "objective", "ct cost", "prefix cost"
     );
-    let v0 = Bcv::and_ppg(m);
-    for l in [2usize, 4, 6, 8, 10, 14] {
+    let v0 = Bcv::and_ppg(L_SWEEP_M);
+    for l in [2usize, 3, 4, 5, 6] {
         let cfg = GomilConfig {
             l,
             solver_budget: std::time::Duration::from_secs(5),

@@ -24,7 +24,7 @@
 //! gomil mart build [--out FILE] [--ms m,m,…] [--refresh] [--jobs N] [solver flags]
 //!                                                      precompute the design mart
 //! gomil mart stats <FILE>                              mart summary
-//! gomil mart verify <FILE>                             mart integrity audit
+//! gomil mart verify <FILE>                             count ok and corrupt mart lines
 //! gomil prefix <heights MSB-first…> [--w W]            optimize a prefix BCV
 //! gomil trunc <m> <k>                                  truncated multiplier report
 //! gomil info                                           defaults and versions
@@ -55,8 +55,8 @@
 
 use gomil::{
     build_baseline, build_gomil, build_gomil_truncated, normalize, serve_service, solve_summary,
-    BaselineKind, DesignReport, GomilConfig, PpgKind, ServeConfig, SolveRequest, VerdictTier,
-    VerifyMode,
+    BaselineKind, DesignReport, DesignStore, GomilConfig, PpgKind, ServeConfig, SolveRequest,
+    VerdictTier, VerifyMode,
 };
 use gomil_prefix::{leaf_types, optimize_prefix_tree};
 use std::io::Write as _;
@@ -342,15 +342,11 @@ fn attach_mart(
         .map_err(|e| format!("--mart {path}: {e}"))?;
     if mart.skipped() > 0 {
         eprintln!(
-            "warning: {path}: skipped {} corrupt mart entries",
+            "warning: {path}: skipped {} corrupt mart lines",
             mart.skipped()
         );
     }
-    eprintln!(
-        "mart: {} precomputed designs from {path} (solver version {})",
-        gomil_serve::DesignStore::len(&mart),
-        mart.solver_version()
-    );
+    eprintln!("mart: {} precomputed designs from {path}", mart.len());
     Ok(svc.with_mart(std::sync::Arc::new(mart)))
 }
 
@@ -635,20 +631,17 @@ fn cmd_mart_build(args: &[String]) -> CliResult {
     } else {
         None
     };
-    let mut builder = gomil_mart::MartBuilder::new(gomil::SOLVER_VERSION);
+    let mut mart = gomil_mart::Mart::default();
     let mut to_solve = Vec::new();
     let mut carried = 0usize;
     for req in &lattice {
         let key = svc.key_for(req);
-        let keep = existing
-            .as_ref()
-            .and_then(|mart| mart.entries().find(|(k, _)| *k == key.canonical()))
-            .map(|(_, outcome)| outcome);
+        let keep = existing.as_ref().and_then(|existing| existing.get(&key));
         match keep {
             Some(outcome)
                 if !outcome.degraded && outcome.verdict >= achievable_tier(req.m, &cfg) =>
             {
-                builder.insert(&key, outcome);
+                mart.insert(&key, &outcome);
                 carried += 1;
             }
             _ => to_solve.push(req.clone()),
@@ -662,7 +655,7 @@ fn cmd_mart_build(args: &[String]) -> CliResult {
     for (req, result) in to_solve.iter().zip(&results) {
         match result {
             Ok(outcome) if !outcome.degraded => {
-                builder.insert(&svc.key_for(req), outcome);
+                mart.insert(&svc.key_for(req), outcome);
                 solved += 1;
             }
             Ok(_) => {
@@ -675,7 +668,7 @@ fn cmd_mart_build(args: &[String]) -> CliResult {
             }
         }
     }
-    let written = builder.write(&out)?;
+    let written = mart.write(&out)?;
     eprintln!(
         "mart: wrote {written} designs to {} ({} solved in {:?}, {carried} carried over, {rejected} rejected; solver version {})",
         out.display(),
@@ -694,13 +687,7 @@ fn cmd_mart_stats(args: &[String]) -> CliResult {
     let mart = gomil_mart::Mart::load(&path)?;
     let stats = mart.stats();
     println!("mart {}", path.display());
-    println!(
-        "entries {}   skipped {}   solver version {} (current {})",
-        stats.entries,
-        stats.skipped,
-        stats.solver_version,
-        gomil::SOLVER_VERSION
-    );
+    println!("entries {}   skipped {}", stats.entries, stats.skipped);
     println!(
         "verdicts: proved {}  tested {}  skipped {}  failed {}",
         stats.verdicts[0], stats.verdicts[1], stats.verdicts[2], stats.verdicts[3]
@@ -711,15 +698,14 @@ fn cmd_mart_stats(args: &[String]) -> CliResult {
 
 fn cmd_mart_verify(args: &[String]) -> CliResult {
     let path = mart_path_arg(args)?;
-    let report = gomil_mart::Mart::verify_file(&path)?;
+    let mart = gomil_mart::Mart::load(&path)?;
     println!(
-        "{}: {} ok, {} corrupt, {} index-hash mismatches",
+        "{}: {} ok, {} corrupt",
         path.display(),
-        report.ok,
-        report.corrupt,
-        report.hash_mismatch
+        mart.len(),
+        mart.skipped()
     );
-    if !report.clean() {
+    if mart.skipped() > 0 {
         return Err("mart verification failed".into());
     }
     println!("mart verified clean");

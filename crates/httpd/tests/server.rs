@@ -3,7 +3,7 @@
 //! drain are deterministic and fast.
 
 use gomil_httpd::{client, HttpdConfig, Server};
-use gomil_mart::{Mart, MartBuilder};
+use gomil_mart::Mart;
 use gomil_serve::{
     DesignMetrics, PpgKind, ServeConfig, ServeOutcome, SolveCounters, SolveService, VerdictTier,
 };
@@ -328,9 +328,9 @@ fn mart_hits_bypass_admission_while_the_queue_sheds() {
     });
     let mut precomputed = outcome_for(8);
     precomputed.name = "MART-8".into();
-    let mut builder = MartBuilder::new(1);
-    builder.insert(&covered_key, &precomputed);
-    builder.write(&mart_path).unwrap();
+    let mut mart = Mart::default();
+    mart.insert(&covered_key, &precomputed);
+    mart.write(&mart_path).unwrap();
 
     // One permit, zero queue, slow solver — same shedding setup as the
     // 429 test, but with the mart attached.

@@ -7,27 +7,18 @@
 //! shards (an `AtomicU64`), so eviction is a cheap min-scan of the full
 //! shard — fine at the few-thousand-entry capacities this service runs.
 //!
-//! Persistence is a line-per-entry text file (`canonical key \t outcome
-//! \t #checksum`) using Rust's shortest-roundtrip float formatting, so a
-//! reloaded entry is bit-identical to the one saved. Corrupted lines are
-//! skipped, not fatal: a damaged cache file degrades to a partial (or
-//! cold) cache.
+//! Persistence is the design line file of [`crate::persist`], which the
+//! precomputed mart shares. Corrupted lines are skipped, not fatal: a
+//! damaged cache file degrades to a partial (or cold) cache.
 
 use crate::key::SolveKey;
 use crate::outcome::ServeOutcome;
+use crate::persist::{read_design_lines, write_design_lines};
 use std::collections::HashMap;
-use std::io::{self, BufRead, Write};
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Version tag of the persisted format; bumped on incompatible changes so
-/// a file of any other version loads nothing rather than being misparsed.
-/// Every line ends in an FNV-1a checksum so a torn line (truncated
-/// mid-float by a crashed or interrupted writer) is *rejected* instead of
-/// loading as a plausible but wrong value. v3 carries an outcome's
-/// counters as `name=value` fields.
-const PERSIST_HEADER: &str = "gomil-serve-cache v3";
 
 struct Entry {
     value: ServeOutcome,
@@ -114,32 +105,14 @@ impl ShardedCache {
     ///
     /// Returns the *canonical key alongside the outcome*: a 64-bit hash is
     /// an index hint, not an identity — two distinct keys can collide — so
-    /// a caller that knows the full key must compare it (see
-    /// [`find_by_hash_checked`](Self::find_by_hash_checked)), and a caller
-    /// that doesn't must surface the key so its own client can.
+    /// the caller must surface the key for its own client to compare.
     pub fn find_by_hash(&self, hash: u64) -> Option<(String, ServeOutcome)> {
-        self.find_by_hash_checked(hash, None)
-    }
-
-    /// [`find_by_hash`](Self::find_by_hash) with an authoritative key
-    /// compare: when `expected_key` is supplied, only the entry whose full
-    /// canonical key matches is returned — a hash-colliding sibling is
-    /// skipped instead of being served silently as the wrong design.
-    pub fn find_by_hash_checked(
-        &self,
-        hash: u64,
-        expected_key: Option<&str>,
-    ) -> Option<(String, ServeOutcome)> {
         for shard in &self.shards {
             let shard = shard.lock().unwrap_or_else(|p| p.into_inner());
             for (canonical, entry) in shard.iter() {
-                if crate::key::fnv1a_64(canonical.as_bytes()) != hash {
-                    continue;
+                if crate::key::fnv1a_64(canonical.as_bytes()) == hash {
+                    return Some((canonical.clone(), entry.value.clone()));
                 }
-                if expected_key.is_some_and(|k| k != canonical) {
-                    continue; // hash collision: not the design asked for
-                }
-                return Some((canonical.clone(), entry.value.clone()));
             }
         }
         None
@@ -191,53 +164,26 @@ impl ShardedCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Writes every entry to `path`, atomically: the data goes to a
-    /// sibling temp file (suffixed with this process's PID, so two
-    /// services persisting to the same path never interleave into one
-    /// temp file), is flushed *and fsynced*, and only then renamed into
-    /// place. A crash at any point leaves either the old complete file or
-    /// the new complete file — never a torn mix — and a stray temp file
-    /// from a crashed writer is invisible to [`load`](Self::load).
-    /// Returns the number of entries written.
+    /// Writes every entry to `path` as design lines, atomically (see
+    /// [`write_design_lines`]). Returns the number of entries written.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors (the temp file is removed on error).
+    /// Propagates filesystem errors.
     pub fn save(&self, path: &Path) -> io::Result<usize> {
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        let result = self.save_to_tmp(&tmp, path);
-        if result.is_err() {
-            std::fs::remove_file(&tmp).ok();
-        }
-        result
-    }
-
-    fn save_to_tmp(&self, tmp: &Path, path: &Path) -> io::Result<usize> {
-        let mut written = 0usize;
-        let file = std::fs::File::create(tmp)?;
-        let mut out = io::BufWriter::new(file);
-        writeln!(out, "{PERSIST_HEADER}")?;
+        // Snapshot first, so no shard stays locked while the file is
+        // written.
+        let mut entries = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock().unwrap_or_else(|p| p.into_inner());
-            for (canonical, entry) in shard.iter() {
-                let content = format!("{canonical}\t{}", entry.value.to_line());
-                let sum = crate::key::fnv1a_64(content.as_bytes());
-                writeln!(out, "{content}\t#{sum:016x}")?;
-                written += 1;
-            }
+            entries.extend(shard.iter().map(|(k, e)| (k.clone(), e.value.clone())));
         }
-        out.flush()?;
-        // The rename only commits bytes that are durably on disk: without
-        // the fsync a crash shortly after rename could surface a complete-
-        // looking file with a zeroed tail.
-        out.get_ref().sync_all()?;
-        std::fs::rename(tmp, path)?;
-        Ok(written)
+        write_design_lines(path, entries.iter().map(|(k, o)| (k.as_str(), o)))
     }
 
     /// Loads entries persisted by [`save`](Self::save), inserting them with
-    /// cold recency. Malformed lines and version-mismatched files are
-    /// skipped silently (a damaged file means a colder cache, not a
+    /// cold recency. Corrupt lines and files of another format or version
+    /// are skipped silently (a damaged file means a colder cache, not a
     /// failed service). Returns the number of entries loaded.
     ///
     /// # Errors
@@ -245,42 +191,15 @@ impl ShardedCache {
     /// Propagates filesystem errors (other than the file simply not
     /// existing, which loads zero entries).
     pub fn load(&self, path: &Path) -> io::Result<usize> {
-        let file = match std::fs::File::open(path) {
-            Ok(f) => f,
+        let lines = match read_design_lines(path) {
+            Ok(Some(lines)) => lines,
+            Ok(None) => return Ok(0),
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
             Err(e) => return Err(e),
         };
-        let mut lines = io::BufReader::new(file).lines();
-        match lines.next() {
-            Some(Ok(header)) if header == PERSIST_HEADER => {}
-            _ => return Ok(0),
-        }
-        let mut loaded = 0usize;
-        for line in lines {
-            let line = line?;
-            // A line must end with `\t#<16-hex fnv of everything before
-            // it>`; a torn tail fails this gate instead of parsing as a
-            // plausible shorter number.
-            let Some((content, tag)) = line.rsplit_once('\t') else {
-                continue;
-            };
-            let Some(hex) = tag.strip_prefix('#') else {
-                continue;
-            };
-            let Ok(sum) = u64::from_str_radix(hex, 16) else {
-                continue;
-            };
-            if hex.len() != 16 || crate::key::fnv1a_64(content.as_bytes()) != sum {
-                continue;
-            }
-            let Some((canonical, rest)) = content.split_once('\t') else {
-                continue;
-            };
-            let Some(outcome) = ServeOutcome::from_line(rest) else {
-                continue;
-            };
-            self.insert(&SolveKey::from_canonical(canonical.to_string()), outcome);
-            loaded += 1;
+        let loaded = lines.entries.len();
+        for (key, outcome) in lines.entries {
+            self.insert(&key, outcome);
         }
         Ok(loaded)
     }
@@ -289,6 +208,7 @@ impl ShardedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PERSIST_HEADER;
     use gomil_arith::PpgKind;
     use gomil_netlist::DesignMetrics;
 
@@ -399,34 +319,6 @@ mod tests {
         assert!(c.find_by_hash(k.hash64() ^ 1).is_none());
         assert_eq!(c.hits(), 0);
         assert_eq!(c.misses(), 0);
-    }
-
-    /// Regression for the hash-only `/design` lookup: a 64-bit FNV-1a
-    /// collision between two cached keys would have served whichever
-    /// entry the shard scan reached first. Constructing a real 64-bit
-    /// FNV collision is computationally impractical in a unit test, so
-    /// this forces the exact code path a collision takes: a lookup whose
-    /// hash resolves to an entry but whose full key belongs to a
-    /// *different* design must refuse the hash match instead of serving
-    /// the wrong outcome.
-    #[test]
-    fn forced_hash_collision_is_detected_by_the_key_compare() {
-        let c = ShardedCache::new(4, 16);
-        c.insert(&key(6), outcome(6, "h"));
-        c.insert(&key(7), outcome(7, "h"));
-        // Caller knows the full key and it matches: served.
-        let (canonical, found) = c
-            .find_by_hash_checked(key(6).hash64(), Some(key(6).canonical()))
-            .unwrap();
-        assert_eq!(canonical, key(6).canonical());
-        assert_eq!(found, outcome(6, "h"));
-        // Collision scenario: the hash resolves (to m=6's entry) but the
-        // caller's full key names m=7 — the key compare must win.
-        assert!(
-            c.find_by_hash_checked(key(6).hash64(), Some(key(7).canonical()))
-                .is_none(),
-            "a hash match with a mismatched key must never be served"
-        );
     }
 
     /// The crash simulation behind the atomic-persistence contract: a

@@ -47,6 +47,12 @@ fn escape_fingerprint(fingerprint: &str) -> std::borrow::Cow<'_, str> {
     std::borrow::Cow::Owned(out)
 }
 
+/// The fields every canonical key for an `m × m` multiplier with PPG
+/// `ppg` starts with; the caller's fingerprint follows.
+fn key_prefix(m: usize, ppg: PpgKind) -> String {
+    format!("v1;m={m};ppg={};", ppg.label())
+}
+
 /// The canonical identity of one solve request.
 ///
 /// Two keys are equal iff the solves they describe are guaranteed to
@@ -65,8 +71,8 @@ impl SolveKey {
     /// `fingerprint` must be a canonical encoding of every solve-relevant
     /// configuration field (same fields ⇒ same string, any differing field
     /// ⇒ different string). Tab, newline and carriage-return characters —
-    /// which delimit the persisted cache TSV and the mart index — are
-    /// escaped here, in every build profile, so a hostile fingerprint can
+    /// which delimit the persisted design lines of the cache and the mart —
+    /// are escaped here, in every build profile, so a hostile fingerprint can
     /// never corrupt a persisted store: the escaping is injective
     /// (backslash itself is escaped), so distinct fingerprints still map
     /// to distinct canonical keys, and fingerprints that were already
@@ -75,9 +81,14 @@ impl SolveKey {
     /// byte.
     pub fn new(m: usize, ppg: PpgKind, fingerprint: &str) -> SolveKey {
         let fingerprint = escape_fingerprint(fingerprint);
-        let canonical = format!("v1;m={m};ppg={};{fingerprint}", ppg.label());
-        let hash = fnv1a_64(canonical.as_bytes());
-        SolveKey { canonical, hash }
+        SolveKey::from_canonical(format!("{}{fingerprint}", key_prefix(m, ppg)))
+    }
+
+    /// Whether this key names an `m × m` multiplier with PPG `ppg`: a
+    /// persisted line whose outcome fails this against its own key is
+    /// corrupt.
+    pub(crate) fn is_for(&self, m: usize, ppg: PpgKind) -> bool {
+        self.canonical.starts_with(&key_prefix(m, ppg))
     }
 
     /// Re-wraps an already-canonical string (used when reloading the
@@ -133,9 +144,9 @@ mod tests {
     /// Regression for the release-mode sanitizer hole: `SolveKey::new`
     /// used to only `debug_assert!` the fingerprint was tab/newline-free,
     /// so in release builds a tab-bearing fingerprint flowed straight into
-    /// the canonical string and corrupted the persisted TSV (the tab reads
-    /// as a field delimiter) and would have corrupted the mart index. The
-    /// key must now be single-line and tab-free in every build profile.
+    /// the canonical string and corrupted the persisted design lines (the
+    /// tab reads as a field delimiter). The key must now be single-line
+    /// and tab-free in every build profile.
     #[test]
     fn hostile_fingerprints_are_escaped_in_all_builds() {
         let hostile = SolveKey::new(8, PpgKind::And, "w=8\tinjected\nline");
@@ -159,6 +170,18 @@ mod tests {
             SolveKey::new(8, PpgKind::And, "w=8").canonical(),
             "v1;m=8;ppg=AND;w=8"
         );
+    }
+
+    #[test]
+    fn a_key_names_exactly_its_own_m_and_ppg() {
+        let k = SolveKey::new(1, PpgKind::Booth4, "w=8");
+        assert!(k.is_for(1, PpgKind::Booth4));
+        assert!(
+            !k.is_for(10, PpgKind::Booth4),
+            "m=1 is not a prefix of m=10"
+        );
+        assert!(!k.is_for(1, PpgKind::Booth8), "MBE is not a prefix of MBE8");
+        assert!(!SolveKey::new(10, PpgKind::Booth8, "w=8").is_for(1, PpgKind::Booth4));
     }
 
     #[test]

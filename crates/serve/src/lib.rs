@@ -9,6 +9,9 @@
 //!   hash over a canonical string) for one solve request;
 //! * [`ShardedCache`] — a sharded LRU result cache with optional on-disk
 //!   persistence, so repeated and restarted workloads hit in `O(1)`;
+//! * [`write_design_lines`] / [`read_design_lines`] — the one file format
+//!   for persisted designs, checksummed line by line, which the cache and
+//!   the precomputed mart of `gomil-mart` share;
 //! * [`SingleFlight`] — request coalescing: `N` concurrent requests for
 //!   the same key trigger exactly one solve, the rest block and share the
 //!   leader's result;
@@ -51,6 +54,7 @@ mod cache;
 mod key;
 mod metrics;
 mod outcome;
+mod persist;
 mod service;
 mod singleflight;
 
@@ -58,6 +62,7 @@ pub use cache::ShardedCache;
 pub use key::{fnv1a_64, SolveKey};
 pub use metrics::{MetricsReport, RungLatency, ServiceMetrics, LATENCY_BUCKETS};
 pub use outcome::{json_string, ServeOutcome, SolveCounters};
+pub use persist::{read_design_lines, write_design_lines, DesignLines, PERSIST_HEADER};
 pub use service::{
     DesignStore, ServeConfig, ServeError, SolveRequest, SolveService, SolverFn, WarmHint,
 };

@@ -90,37 +90,22 @@ pub type SolverFn = dyn Fn(&SolveRequest, Option<&WarmHint>, Option<&Budget>) ->
 
 /// A read-only precomputed design store consulted *before* the LRU cache
 /// and the solver (the lookup order is mart → cache → solve). The
-/// `gomil-mart` crate provides the production implementation — a
-/// versioned, checksummed, offline-built store over the hot
-/// (m, PPG, config) lattice — while tests inject synthetic maps.
+/// `gomil-mart` crate provides the production implementation — an
+/// offline-built, pinned copy of the cache's design line file over the
+/// hot (m, PPG, config) lattice — while tests inject synthetic maps.
 ///
-/// Contract: lookups are identity-exact (the store compares the *full
-/// canonical key*, never just its 64-bit hash), immutable for the life of
-/// the service, and cheap enough to sit on the request fast path. Store
-/// hits are recency-neutral: they never touch the LRU cache, so a mart
-/// deployment cannot distort eviction order for the long tail.
+/// Contract: [`get`](Self::get) is identity-exact (the store compares the
+/// *full canonical key*, never just its 64-bit hash), the store is
+/// immutable for the life of the service, and lookups are cheap enough
+/// to sit on the request fast path. Store hits are recency-neutral: they
+/// never touch the LRU cache, so a mart deployment cannot distort
+/// eviction order for the long tail.
 pub trait DesignStore: Send + Sync {
     /// The outcome stored for `key`, compared by full canonical key.
     fn get(&self, key: &SolveKey) -> Option<ServeOutcome>;
     /// Resolves a 64-bit key hash to `(canonical key, outcome)` — the
     /// key comes back so callers can detect hash collisions.
     fn find_by_hash(&self, hash: u64) -> Option<(String, ServeOutcome)>;
-    /// [`find_by_hash`](Self::find_by_hash) with an authoritative key
-    /// compare: when `expected_key` is given, only an entry matching both
-    /// the hash and the key is returned. Stores that can hold several
-    /// entries under one hash (a real collision, or a forged index)
-    /// should override this to scan all of them.
-    fn find_by_hash_checked(
-        &self,
-        hash: u64,
-        expected_key: Option<&str>,
-    ) -> Option<(String, ServeOutcome)> {
-        let (canonical, outcome) = self.find_by_hash(hash)?;
-        if expected_key.is_some_and(|k| k != canonical) {
-            return None;
-        }
-        Some((canonical, outcome))
-    }
     /// Number of designs in the store.
     fn len(&self) -> usize;
     /// Whether the store holds no designs.
@@ -347,30 +332,12 @@ impl SolveService {
     ///
     /// Returns the *canonical key alongside the outcome*: a 64-bit hash is
     /// not an identity (two keys can collide), so the key travels with the
-    /// reply for clients — and callers who know the full key should use
-    /// [`lookup_design`](Self::lookup_design) instead.
+    /// reply for clients to compare.
     pub fn lookup_fingerprint(&self, fingerprint: u64) -> Option<(String, ServeOutcome)> {
-        self.lookup_design(fingerprint, None)
-    }
-
-    /// [`lookup_fingerprint`](Self::lookup_fingerprint) with an
-    /// authoritative key compare: when the caller knows the full
-    /// canonical key, only an entry matching *both* the hash and the key
-    /// is returned — a hash-colliding sibling yields `None` instead of
-    /// silently serving the wrong design.
-    pub fn lookup_design(
-        &self,
-        fingerprint: u64,
-        expected_key: Option<&str>,
-    ) -> Option<(String, ServeOutcome)> {
-        if let Some(found) = self
-            .mart
-            .as_ref()
-            .and_then(|m| m.find_by_hash_checked(fingerprint, expected_key))
-        {
+        if let Some(found) = self.mart.as_ref().and_then(|m| m.find_by_hash(fingerprint)) {
             return Some(found);
         }
-        self.cache.find_by_hash_checked(fingerprint, expected_key)
+        self.cache.find_by_hash(fingerprint)
     }
 
     /// Leader path: run the solver (panic-contained), then publish the
@@ -847,11 +814,10 @@ mod tests {
         assert_eq!(svc.report().mart_hits, 1);
     }
 
-    /// `lookup_design` must refuse a mart entry whose hash matches but
-    /// whose canonical key does not — the hash-collision identity bug the
-    /// `/design` endpoint used to have.
+    /// `lookup_fingerprint` answers from the mart, and returns the full
+    /// canonical key with the design so a client can confirm identity.
     #[test]
-    fn lookup_design_compares_the_full_key_against_the_mart() {
+    fn lookup_fingerprint_answers_from_the_mart_with_the_full_key() {
         let (svc, _) = counting_service(Duration::ZERO, false);
         let req = SolveRequest {
             m: 8,
@@ -860,15 +826,9 @@ mod tests {
         let key = svc.key_for(&req);
         let mart = mart_for(&svc, &[req]);
         let svc = svc.with_mart(mart);
-        let (canonical, _) = svc.lookup_fingerprint(key.hash64()).unwrap();
+        let (canonical, outcome) = svc.lookup_fingerprint(key.hash64()).unwrap();
         assert_eq!(canonical, key.canonical());
-        assert!(svc
-            .lookup_design(key.hash64(), Some(key.canonical()))
-            .is_some());
-        assert!(
-            svc.lookup_design(key.hash64(), Some("v1;m=9;ppg=AND;other"))
-                .is_none(),
-            "matching hash with a different key must not serve the design"
-        );
+        assert_eq!(outcome.strategy, "mart");
+        assert!(svc.lookup_fingerprint(key.hash64() ^ 1).is_none());
     }
 }

@@ -2,7 +2,9 @@
 # Mart smoke test: build a tiny precomputed design mart (m in {4, 8}),
 # boot `gomil serve --listen --mart`, and require that a mart-covered
 # solve is served with ZERO solver invocations — the hit must show up in
-# /metrics as gomil_mart_hits_total with nonzero coverage.
+# /metrics as gomil_mart_hits_total with nonzero coverage. A copy with
+# one damaged entry line must fail `mart verify` with 1 corrupt line, and
+# `serve --mart` must refuse an empty file before it binds.
 #
 #   scripts/mart_smoke.sh
 set -euo pipefail
@@ -20,6 +22,37 @@ cargo build -q --release -p gomil --bin gomil
 target/release/gomil mart build --out "$martfile" --ms 4,8 >/dev/null
 target/release/gomil mart verify "$martfile" >/dev/null
 echo "    mart build + verify: ok"
+
+# One damaged byte inside the first entry line's canonical key: that
+# line fails its checksum and is skipped and counted, never served.
+damaged="$workdir/damaged.mart"
+cp "$martfile" "$damaged"
+offset=$(( $(head -n 1 "$martfile" | wc -c) + 10 ))
+printf 'X' | dd of="$damaged" bs=1 seek="$offset" conv=notrunc status=none
+if report=$(target/release/gomil mart verify "$damaged" 2>/dev/null); then
+    echo "FAIL: mart verify passed a damaged mart: $report"; exit 1
+fi
+echo "$report" | grep -q ' 1 corrupt$' \
+    || { echo "FAIL: mart verify did not report 1 corrupt line: $report"; exit 1; }
+target/release/gomil mart stats "$damaged" | grep -q 'skipped 1$' \
+    || { echo "FAIL: mart stats did not report skipped 1"; exit 1; }
+echo "    damaged entry line: verify fails with 1 corrupt, stats skipped 1"
+
+# An empty file is not a mart: serve must exit 1 before binding, and say
+# how to rebuild it.
+empty="$workdir/empty.mart"
+: >"$empty"
+status=0
+timeout 60 target/release/gomil serve --listen 127.0.0.1:0 \
+    --no-cache-file --mart "$empty" >"$workdir/empty.log" 2>&1 || status=$?
+[ "$status" -eq 1 ] \
+    || { cat "$workdir/empty.log"; echo "FAIL: serve on an empty mart exited $status, not 1"; exit 1; }
+if grep -q 'listening on' "$workdir/empty.log"; then
+    echo "FAIL: serve bound before refusing the empty mart"; exit 1
+fi
+grep -q 'gomil mart build' "$workdir/empty.log" \
+    || { cat "$workdir/empty.log"; echo "FAIL: the refusal does not name gomil mart build"; exit 1; }
+echo "    empty mart: serve refuses it before binding"
 
 target/release/gomil serve --listen 127.0.0.1:0 \
     --no-cache-file --mart "$martfile" \

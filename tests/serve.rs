@@ -566,9 +566,9 @@ fn every_declared_counter_reaches_the_reply_cache_mart_and_metrics() {
     // The mart: written by the builder, read back by `Mart::load`.
     let key = svc.key_for(&req);
     let mart_file = dir.join("designs.mart");
-    let mut builder = gomil_mart::MartBuilder::new(SOLVER_VERSION);
-    builder.insert(&key, &hit);
-    builder.write(&mart_file).unwrap();
+    let mut built = gomil_mart::Mart::default();
+    built.insert(&key, &hit);
+    built.write(&mart_file).unwrap();
     let mart = gomil_mart::Mart::load(&mart_file).unwrap();
     assert_eq!(mart.get(&key).expect("mart entry").counters, expected);
     std::fs::remove_dir_all(&dir).ok();
