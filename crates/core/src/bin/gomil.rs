@@ -105,7 +105,7 @@ const CFG_VALUE_FLAGS: [&str; 7] = [
 ];
 
 /// The value-taking flags of `batch` and `serve` beyond [`CFG_VALUE_FLAGS`]:
-/// what [`serve_config_from_args`] and [`attach_mart`] read.
+/// what [`serve_config_from_args`] and [`open_service`] read.
 const SERVICE_VALUE_FLAGS: [&str; 3] = ["--jobs", "--cache", "--mart"];
 
 /// The switches [`serve_config_from_args`] reads.
@@ -329,12 +329,24 @@ fn serve_config_from_args(args: &[String]) -> Result<ServeConfig, String> {
     Ok(sc)
 }
 
-/// Attaches the `--mart FILE` precomputed design store, when given: the
-/// service then answers covered requests without touching the solver.
-fn attach_mart(
-    svc: gomil::SolveService,
+/// The service of `batch` and `serve`: loads the cache file, warning when
+/// it skipped corrupt lines, and attaches the `--mart FILE` precomputed
+/// design store, when given; the service then answers covered requests
+/// without touching the solver.
+fn open_service(
+    cfg: &GomilConfig,
+    sc: ServeConfig,
     args: &[String],
 ) -> Result<gomil::SolveService, Box<dyn std::error::Error>> {
+    let cache_path = sc.cache_path.clone();
+    let svc = serve_service(cfg, sc)?;
+    if let Some(path) = cache_path.filter(|_| svc.cache_skipped() > 0) {
+        eprintln!(
+            "warning: {}: skipped {} corrupt cache lines",
+            path.display(),
+            svc.cache_skipped()
+        );
+    }
     let Some(path) = flag_value(args, "--mart") else {
         return Ok(svc);
     };
@@ -407,7 +419,7 @@ fn cmd_batch(args: &[String]) -> CliResult {
         &[&SERVICE_SWITCHES[..], &["--all-ppg"]].concat(),
         usage,
     )?;
-    let svc = attach_mart(serve_service(&cfg, sc)?, args)?;
+    let svc = open_service(&cfg, sc, args)?;
 
     let ppgs: &[PpgKind] = if all_ppg {
         &PpgKind::all()
@@ -486,7 +498,7 @@ fn cmd_serve_http(args: &[String], addr: &str) -> CliResult {
         "gomil serve --listen ADDR [--http-inflight N] [--http-queue N] [--drain-ms N] \
          [--deadline-ms N] [flags…]",
     )?;
-    let svc = std::sync::Arc::new(attach_mart(serve_service(&cfg, sc)?, args)?);
+    let svc = std::sync::Arc::new(open_service(&cfg, sc, args)?);
     let server = gomil_httpd::Server::bind(std::sync::Arc::clone(&svc), addr, httpd)?;
     let local = server.local_addr()?;
     eprintln!("listening on http://{local}  (POST /shutdown to drain)");
@@ -534,7 +546,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
     if requests.is_empty() {
         return Err(format!("{path}: no requests (lines are `<m> [ppg]`)").into());
     }
-    let svc = attach_mart(serve_service(&cfg, sc)?, args)?;
+    let svc = open_service(&cfg, sc, args)?;
     let results = svc.run_batch(&requests);
     print_results(&requests, &results);
     let failed = results.iter().filter(|r| r.is_err()).count();

@@ -212,3 +212,25 @@ fn the_benchmark_invocations_pass_the_argument_checks() {
         assert!(!log.contains("unexpected argument"), "{args:?}: {log}");
     }
 }
+
+/// `batch` and `serve` say when the cache file they load had corrupt
+/// lines, as they do for a mart: the next persist rewrites the file
+/// without them.
+#[test]
+fn corrupt_cache_lines_are_reported_at_startup() {
+    let dir = std::env::temp_dir().join(format!("gomil-cli-cache-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache = dir.join("bad.tsv");
+    let mut bytes = format!("{}\n", gomil_serve::PERSIST_HEADER).into_bytes();
+    bytes.extend_from_slice(b"\xff\xfe not UTF-8\n");
+    std::fs::write(&cache, bytes).unwrap();
+    let cache = cache.to_str().unwrap();
+    let out = gomil(&["batch", "3", "--cache", cache]);
+    let log = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{log}");
+    assert!(
+        log.contains(&format!("warning: {cache}: skipped 1 corrupt cache lines")),
+        "{log}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

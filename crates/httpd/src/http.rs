@@ -8,7 +8,8 @@
 //! Malformed input is a typed [`HttpError`] that maps to a 4xx status —
 //! never a panic. Responses are written either whole
 //! ([`write_response`]) or incrementally with chunked transfer encoding
-//! ([`ChunkedWriter`]) for streaming solves.
+//! ([`ChunkedWriter`]) for streaming solves; a whole reply, a chunk and
+//! the stream's end are one write each.
 
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -308,7 +309,8 @@ pub fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete response with `Content-Length` framing.
+/// Writes a complete response with `Content-Length` framing: the head
+/// and the body go out in one write.
 ///
 /// # Errors
 ///
@@ -321,24 +323,35 @@ pub fn write_response<W: Write>(
     extra_headers: &[(&str, &str)],
     close: bool,
 ) -> io::Result<()> {
-    write!(w, "HTTP/1.1 {status} {}\r\n", reason_phrase(status))?;
-    write!(w, "Content-Type: {content_type}\r\n")?;
-    write!(w, "Content-Length: {}\r\n", body.len())?;
+    let mut reply = head(status, content_type);
+    write!(reply, "Content-Length: {}\r\n", body.len())?;
     for (name, value) in extra_headers {
-        write!(w, "{name}: {value}\r\n")?;
+        write!(reply, "{name}: {value}\r\n")?;
     }
     if close {
-        write!(w, "Connection: close\r\n")?;
+        reply.extend_from_slice(b"Connection: close\r\n");
     }
-    write!(w, "\r\n")?;
-    w.write_all(body)?;
+    reply.extend_from_slice(b"\r\n");
+    reply.extend_from_slice(body);
+    w.write_all(&reply)?;
     w.flush()
 }
 
+/// A response's status line and `Content-Type` header. Each reply is
+/// built whole in memory and written with one call: on a `TCP_NODELAY`
+/// socket every separate write may go out as its own segment.
+fn head(status: u16, content_type: &str) -> Vec<u8> {
+    format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n",
+        reason_phrase(status)
+    )
+    .into_bytes()
+}
+
 /// An in-progress chunked-transfer response: one [`chunk`](Self::chunk)
-/// per event, [`finish`](Self::finish) to terminate. A transport error at
-/// any point surfaces immediately so the caller can cancel the work
-/// feeding the stream.
+/// per event, [`finish`](Self::finish) to terminate, each one write. A
+/// transport error at any point surfaces immediately so the caller can
+/// cancel the work feeding the stream.
 pub struct ChunkedWriter<W: Write> {
     w: W,
 }
@@ -350,10 +363,9 @@ impl<W: Write> ChunkedWriter<W> {
     ///
     /// Propagates transport errors.
     pub fn start(mut w: W, status: u16, content_type: &str) -> io::Result<ChunkedWriter<W>> {
-        write!(w, "HTTP/1.1 {status} {}\r\n", reason_phrase(status))?;
-        write!(w, "Content-Type: {content_type}\r\n")?;
-        write!(w, "Transfer-Encoding: chunked\r\n")?;
-        write!(w, "Connection: close\r\n\r\n")?;
+        let mut reply = head(status, content_type);
+        reply.extend_from_slice(b"Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n");
+        w.write_all(&reply)?;
         w.flush()?;
         Ok(ChunkedWriter { w })
     }
@@ -368,9 +380,10 @@ impl<W: Write> ChunkedWriter<W> {
         if data.is_empty() {
             return Ok(()); // an empty chunk would terminate the stream
         }
-        write!(self.w, "{:x}\r\n", data.len())?;
-        self.w.write_all(data)?;
-        write!(self.w, "\r\n")?;
+        let mut chunk = format!("{:x}\r\n", data.len()).into_bytes();
+        chunk.extend_from_slice(data);
+        chunk.extend_from_slice(b"\r\n");
+        self.w.write_all(&chunk)?;
         self.w.flush()
     }
 
@@ -380,7 +393,7 @@ impl<W: Write> ChunkedWriter<W> {
     ///
     /// Propagates transport errors.
     pub fn finish(mut self) -> io::Result<()> {
-        write!(self.w, "0\r\n\r\n")?;
+        self.w.write_all(b"0\r\n\r\n")?;
         self.w.flush()
     }
 }
@@ -524,5 +537,55 @@ mod tests {
         assert!(text.contains("5\r\nhello\r\n"));
         assert!(text.contains("10\r\n")); // 16 bytes in hex
         assert!(text.ends_with("0\r\n\r\n"));
+    }
+
+    /// A writer that counts its `write` calls.
+    #[derive(Default)]
+    struct Counting {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Each reply leaves in one write: on the server's `TCP_NODELAY`
+    /// socket, every write may be a packet of its own.
+    #[test]
+    fn every_reply_and_chunk_is_one_write() {
+        let extra: [&[(&str, &str)]; 2] = [&[], &[("Retry-After", "3"), ("X-A", "b")]];
+        for headers in extra {
+            for close in [false, true] {
+                let mut w = Counting::default();
+                write_response(&mut w, 200, "application/json", b"{}\n", headers, close).unwrap();
+                assert_eq!(w.writes, 1, "{headers:?}, close {close}");
+                let text = String::from_utf8(w.bytes).unwrap();
+                assert!(text.ends_with("\r\n\r\n{}\n"), "{text}");
+                assert_eq!(text.contains("Connection: close\r\n"), close);
+            }
+        }
+
+        let mut w = Counting::default();
+        let mut cw = ChunkedWriter::start(&mut w, 200, "application/x-ndjson").unwrap();
+        let mut writes = vec![cw.w.writes];
+        cw.chunk(b"{\"event\":\"done\"}\n").unwrap();
+        writes.push(cw.w.writes);
+        cw.finish().unwrap();
+        writes.push(w.writes);
+        assert_eq!(writes, [1, 2, 3], "start, chunk and finish");
+        let text = String::from_utf8(w.bytes).unwrap();
+        assert!(
+            text.ends_with("\r\n\r\n11\r\n{\"event\":\"done\"}\n\r\n0\r\n\r\n"),
+            "{text}"
+        );
     }
 }

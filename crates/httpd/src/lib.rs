@@ -16,8 +16,9 @@
 //!   into the solver; cancellation (deadline, client disconnect, drain)
 //!   degrades the solve down its fallback ladder rather than failing it;
 //! * **graceful drain** — `POST /shutdown` (or [`ServerHandle::shutdown`])
-//!   stops accepting, lets in-flight work finish within a drain budget,
-//!   cancels stragglers, persists the cache, and exits cleanly.
+//!   wakes the blocked accept loop and closes the listener, so new
+//!   connections are refused, lets in-flight work finish within a drain
+//!   budget, cancels stragglers, persists the cache, and exits cleanly.
 //!
 //! ## Endpoints
 //!

@@ -4,7 +4,7 @@
 //! ## Request lifecycle
 //!
 //! ```text
-//! accept ──► parse ──► route
+//! accept (blocking) ──► parse ──► route
 //!                       │ cache probe (hit answers immediately, no slot)
 //!                       ▼
 //!                  Solves::start (/solve, ?stream=1 and /lp alike)
@@ -26,7 +26,11 @@
 //!
 //! `Running ──shutdown()──► Draining ──(no solve or connection left | budget up)──► Stopped`
 //!
-//! Draining stops accepting, answers queued waiters and new requests with
+//! The accept loop blocks in `accept`. The drain, started by
+//! [`ServerHandle::shutdown`] or `POST /shutdown` alike, wakes it with a
+//! connection to the listener's own address, which is never served; the
+//! loop then closes the listener, so new connections are refused. The
+//! drain answers queued waiters and new requests on open connections with
 //! 503, and gives running solves [`HttpdConfig::drain_budget`] to finish.
 //! Past the budget every running solve's [`Budget`] is cancelled — the
 //! solver unwinds its degradation ladder and the request still gets a
@@ -44,7 +48,7 @@ use gomil_serve::{
 };
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -287,9 +291,20 @@ struct Shared {
     service: Arc<SolveService>,
     cfg: HttpdConfig,
     solves: Arc<Solves>,
+    /// Where the drain's wake connects (see [`Shared::shutdown`]).
+    wake: SocketAddr,
 }
 
 impl Shared {
+    /// Starts the drain, for [`ServerHandle::shutdown`] and
+    /// `POST /shutdown` alike, then wakes the accept loop out of `accept`
+    /// with a connection of its own. A wake that cannot connect finds the
+    /// loop already ended.
+    fn shutdown(&self) {
+        self.solves.start_drain();
+        TcpStream::connect(self.wake).ok();
+    }
+
     /// A request's budget: its own deadline, else the configured default,
     /// else none.
     fn budget(&self, deadline: Option<Duration>) -> Budget {
@@ -389,7 +404,7 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// Initiates graceful drain; idempotent.
     pub fn shutdown(&self) {
-        self.shared.solves.start_drain();
+        self.shared.shutdown();
     }
 
     /// Whether drain has been initiated.
@@ -415,7 +430,15 @@ impl Server {
     /// Propagates bind failures.
     pub fn bind(service: Arc<SolveService>, addr: &str, cfg: HttpdConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        // The drain's wake connects to the bound address, or to loopback
+        // of the same family when it is a wildcard (`0.0.0.0`, `::`).
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let solves = Arc::new(Solves::new(cfg.max_inflight.max(1), cfg.max_queue));
         Ok(Server {
             listener,
@@ -423,6 +446,7 @@ impl Server {
                 service,
                 cfg,
                 solves,
+                wake,
             }),
         })
     }
@@ -443,38 +467,38 @@ impl Server {
         }
     }
 
-    /// Runs the accept loop until drain completes, then persists the
-    /// cache and returns. See the module docs for the drain state
-    /// machine.
+    /// Runs the accept loop, blocked in `accept`, until the drain starts;
+    /// then closes the listener, waits out the drain, persists the cache
+    /// and returns. See the module docs for the drain state machine.
     ///
     /// # Errors
     ///
     /// Propagates accept-loop transport errors and the final cache
     /// persistence failure (in-flight answers are never lost to either).
     pub fn run(self) -> io::Result<()> {
-        while !self.shared.solves.draining() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let shared = Arc::clone(&self.shared);
-                    shared.solves.open_conn();
-                    std::thread::spawn(move || {
-                        let _ = handle_connection(&shared, stream);
-                        shared.solves.close_conn();
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => return Err(e),
+        let Server { listener, shared } = self;
+        loop {
+            let (stream, _peer) = listener.accept()?;
+            // The drain's wake, or any connection accepted after it, is
+            // dropped unserved.
+            if shared.solves.draining() {
+                break;
             }
+            shared.solves.open_conn();
+            let conn = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let _ = handle_connection(&conn, stream);
+                conn.solves.close_conn();
+            });
         }
 
-        // Draining: no new connections; give in-flight work the budget,
-        // then cancel the stragglers.
-        self.shared.solves.drain(self.shared.cfg.drain_budget);
+        // Draining: refuse new connections; give in-flight work the
+        // budget, then cancel the stragglers.
+        drop(listener);
+        shared.solves.drain(shared.cfg.drain_budget);
         // No lost cache writes: persistence is the last drain step, after
         // every in-flight publish has settled.
-        self.shared.service.persist()?;
+        shared.service.persist()?;
         Ok(())
     }
 }
@@ -594,7 +618,7 @@ fn route(
             }
         }
         ("POST", "/shutdown") => {
-            shared.solves.start_drain();
+            shared.shutdown();
             reply_json(stream, 200, "{\"status\":\"draining\"}\n", close)
         }
         ("POST", "/solve") => handle_solve(shared, stream, request, close),

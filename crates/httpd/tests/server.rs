@@ -7,8 +7,10 @@ use gomil_mart::Mart;
 use gomil_serve::{
     DesignMetrics, PpgKind, ServeConfig, ServeOutcome, SolveCounters, SolveService, VerdictTier,
 };
+use std::io;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn outcome_for(m: usize) -> ServeOutcome {
@@ -595,4 +597,84 @@ fn socket_level_singleflight_coalesces_identical_requests() {
     );
     handle.shutdown();
     join.join().unwrap().unwrap();
+}
+
+/// Once the drain starts the listener closes: a new connection is refused
+/// at once, not parked in the backlog until the drain ends, while a
+/// running solve still has its drain budget.
+#[test]
+fn a_drain_refuses_new_connections_while_a_solve_runs() {
+    let (started_tx, started) = mpsc::channel::<()>();
+    let (release, stuck) = mpsc::channel::<()>();
+    let stuck = Mutex::new(stuck);
+    let service = SolveService::new(
+        "httpd-refuse".into(),
+        Box::new(move |req, _hint, _budget| {
+            started_tx.send(()).ok();
+            // Stuck until the test releases it, or drops `release`.
+            stuck.lock().unwrap().recv().ok();
+            Ok(outcome_for(req.m))
+        }),
+        ServeConfig {
+            jobs: 1,
+            warm_start: false,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let server = Server::bind(
+        Arc::new(service),
+        "127.0.0.1:0",
+        HttpdConfig {
+            drain_budget: Duration::from_secs(5),
+            ..HttpdConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run());
+    let target = addr.to_string();
+    let inflight =
+        std::thread::spawn(move || client::post_json(&target, "/solve", r#"{"m": 11}"#).unwrap());
+    started.recv().unwrap();
+
+    handle.shutdown();
+    let deadline = Instant::now() + Duration::from_secs(1);
+    loop {
+        match TcpStream::connect(addr) {
+            Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => break,
+            other => assert!(
+                Instant::now() < deadline,
+                "still connectable 1 s into the drain: {other:?}"
+            ),
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(!inflight.is_finished(), "the solve still runs");
+
+    release.send(()).unwrap();
+    assert_eq!(inflight.join().unwrap().status, 200);
+    join.join().unwrap().unwrap();
+}
+
+/// Bound to a wildcard address, the server wakes its blocked `accept`
+/// through loopback: `run()` returns promptly with no request ever made.
+#[test]
+fn shutdown_wakes_an_accept_loop_bound_to_a_wildcard_address() {
+    let service = SolveService::new(
+        "httpd-wake".into(),
+        Box::new(|req, _hint, _budget| Ok(outcome_for(req.m))),
+        ServeConfig::default(),
+    )
+    .unwrap();
+    let server = Server::bind(Arc::new(service), "0.0.0.0:0", HttpdConfig::default()).unwrap();
+    let handle = server.handle();
+    let (done, ran) = mpsc::channel();
+    let join = std::thread::spawn(move || done.send(server.run()).unwrap());
+    handle.shutdown();
+    ran.recv_timeout(Duration::from_secs(2))
+        .expect("run() returns within 2 s of shutdown()")
+        .unwrap();
+    join.join().unwrap();
 }

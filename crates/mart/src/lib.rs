@@ -241,7 +241,7 @@ mod tests {
         what: &str,
     ) -> (io::Result<Mart>, usize) {
         let cache = ShardedCache::new(4, 16);
-        let loaded = cache
+        let (loaded, _) = cache
             .load(path)
             .unwrap_or_else(|e| panic!("{what}: the cache loader must not error: {e}"));
         let mart = Mart::load(path);
@@ -411,7 +411,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let reloaded = ShardedCache::new(1, 8);
-        assert_eq!(reloaded.load(&path).unwrap(), 1);
+        assert_eq!(reloaded.load(&path).unwrap(), (1, 1));
         assert_eq!(reloaded.probe(key).as_ref(), Some(o));
         let mart = Mart::load(&path).unwrap();
         assert_eq!((mart.len(), mart.skipped()), (1, 1));
@@ -443,7 +443,7 @@ mod tests {
         std::fs::write(&path, text).unwrap();
 
         let cache = ShardedCache::new(1, 8);
-        assert_eq!(cache.load(&path).unwrap(), 1);
+        assert_eq!(cache.load(&path).unwrap(), (1, 2));
         assert!(cache.probe(and4).is_none() && cache.probe(mbe4).is_none());
         assert_eq!(cache.probe(bw8).as_ref(), Some(o_bw8));
         let mart = Mart::load(&path).unwrap();

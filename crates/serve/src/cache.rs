@@ -182,26 +182,27 @@ impl ShardedCache {
     }
 
     /// Loads entries persisted by [`save`](Self::save), inserting them with
-    /// cold recency. Corrupt lines and files of another format or version
-    /// are skipped silently (a damaged file means a colder cache, not a
-    /// failed service). Returns the number of entries loaded.
+    /// cold recency. Corrupt lines are skipped and counted, and a file of
+    /// another format or version loads nothing (a damaged file means a
+    /// colder cache, not a failed service). Returns the number of entries
+    /// loaded and the number of lines skipped.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors (other than the file simply not
     /// existing, which loads zero entries).
-    pub fn load(&self, path: &Path) -> io::Result<usize> {
+    pub fn load(&self, path: &Path) -> io::Result<(usize, usize)> {
         let lines = match read_design_lines(path) {
             Ok(Some(lines)) => lines,
-            Ok(None) => return Ok(0),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
+            Ok(None) => return Ok((0, 0)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((0, 0)),
             Err(e) => return Err(e),
         };
         let loaded = lines.entries.len();
         for (key, outcome) in lines.entries {
             self.insert(&key, outcome);
         }
-        Ok(loaded)
+        Ok((loaded, lines.skipped))
     }
 }
 
@@ -284,7 +285,7 @@ mod tests {
         assert_eq!(c.save(&path).unwrap(), 3);
 
         let d = ShardedCache::new(2, 16); // different shard count is fine
-        assert_eq!(d.load(&path).unwrap(), 3);
+        assert_eq!(d.load(&path).unwrap(), (3, 0));
         for m in [4usize, 6, 8] {
             assert_eq!(d.get(&key(m)).unwrap(), outcome(m, "p"));
         }
@@ -347,7 +348,7 @@ mod tests {
         for cut in 0..=full.len() {
             std::fs::write(&torn_path, &full[..cut]).unwrap();
             let d = ShardedCache::new(4, 16);
-            let loaded = d.load(&torn_path).expect("a torn file is not an I/O error");
+            let (loaded, _) = d.load(&torn_path).expect("a torn file is not an I/O error");
             assert_eq!(loaded, d.len());
             // Every entry that did survive the tear is bit-exact.
             let mut found = 0;
@@ -383,7 +384,7 @@ mod tests {
             .collect();
         assert!(residue.is_empty(), "temp files must be renamed away");
         let d = ShardedCache::new(1, 8);
-        assert_eq!(d.load(&path).unwrap(), 2);
+        assert_eq!(d.load(&path).unwrap(), (2, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -391,15 +392,15 @@ mod tests {
     fn missing_and_corrupt_files_load_cold() {
         let c = ShardedCache::new(2, 8);
         let missing = std::env::temp_dir().join("gomil-serve-does-not-exist.cache");
-        assert_eq!(c.load(&missing).unwrap(), 0);
+        assert_eq!(c.load(&missing).unwrap(), (0, 0));
 
         let dir = std::env::temp_dir().join("gomil-serve-cache-test");
         std::fs::create_dir_all(&dir).unwrap();
         let bad = dir.join("corrupt.cache");
         std::fs::write(&bad, "wrong header\njunk\n").unwrap();
-        assert_eq!(c.load(&bad).unwrap(), 0);
+        assert_eq!(c.load(&bad).unwrap(), (0, 0));
         std::fs::write(&bad, format!("{PERSIST_HEADER}\nnot-a-valid-entry\n")).unwrap();
-        assert_eq!(c.load(&bad).unwrap(), 0);
+        assert_eq!(c.load(&bad).unwrap(), (0, 1), "the corrupt line is counted");
         // A file of an older format version loads nothing, even when its
         // lines are well formed.
         let good = ShardedCache::new(1, 8);
@@ -408,7 +409,7 @@ mod tests {
         let saved = std::fs::read_to_string(&bad).unwrap();
         for old in ["gomil-serve-cache v1", "gomil-serve-cache v2"] {
             std::fs::write(&bad, saved.replacen(PERSIST_HEADER, old, 1)).unwrap();
-            assert_eq!(c.load(&bad).unwrap(), 0, "{old}");
+            assert_eq!(c.load(&bad).unwrap(), (0, 0), "{old}");
         }
         std::fs::remove_file(&bad).unwrap();
     }

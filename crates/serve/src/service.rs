@@ -182,6 +182,8 @@ pub struct SolveService {
     solver: Box<SolverFn>,
     config: ServeConfig,
     cache: ShardedCache,
+    /// Lines of the cache file skipped as corrupt when it was loaded.
+    cache_skipped: usize,
     mart: Option<std::sync::Arc<dyn DesignStore>>,
     flights: SingleFlight<Result<ServeOutcome, ServeError>>,
     warm: Mutex<VecDeque<WarmHint>>,
@@ -203,14 +205,16 @@ impl SolveService {
         config: ServeConfig,
     ) -> io::Result<SolveService> {
         let cache = ShardedCache::new(config.shards, config.cache_capacity);
-        if let Some(path) = &config.cache_path {
-            cache.load(path)?;
-        }
+        let cache_skipped = match &config.cache_path {
+            Some(path) => cache.load(path)?.1,
+            None => 0,
+        };
         Ok(SolveService {
             fingerprint,
             solver,
             config,
             cache,
+            cache_skipped,
             mart: None,
             flights: SingleFlight::new(),
             warm: Mutex::new(VecDeque::new()),
@@ -225,6 +229,15 @@ impl SolveService {
     pub fn with_mart(mut self, mart: std::sync::Arc<dyn DesignStore>) -> SolveService {
         self.mart = Some(mart);
         self
+    }
+
+    /// Lines of the [`ServeConfig::cache_path`] file skipped as torn or
+    /// corrupt when the service loaded it; the next [`persist`] rewrites
+    /// the file without them.
+    ///
+    /// [`persist`]: SolveService::persist
+    pub fn cache_skipped(&self) -> usize {
+        self.cache_skipped
     }
 
     /// Number of designs in the attached mart (0 without one).
